@@ -26,8 +26,8 @@
 //!   saturate a node charge each other bandwidth-degradation stalls,
 //!   surfaced as `ContentionStall` events.
 //! * [`shard`] — the sharded dispatch plane: per-shard admission
-//!   queues ([`ShardConfig`], one dispatcher thread each in the
-//!   server), same-tenant request coalescing into single planning
+//!   queues ([`ShardConfig`]; in the server, each is served by
+//!   whichever connection thread holds its dispatch token), same-tenant request coalescing into single planning
 //!   walks (`BatchCoalesced`), and work stealing from loaded siblings
 //!   (`ShardSteal`), with arbitration outcomes byte-identical to the
 //!   single-dispatcher plane.

@@ -1,14 +1,21 @@
 //! The broker service: a JSONL socket server in front of a shared
 //! [`Broker`].
 //!
-//! One reader thread per connection parses request lines and posts
-//! them on a shared queue; a single dispatcher thread drains the queue
-//! in batches ("ticks"), opens a fresh contention epoch per batch, and
-//! serves every request in arrival order before writing the response
-//! lines back. Batching keeps the epoch semantics of the
-//! [`crate::TrafficBoard`] meaningful — requests landing in the same
-//! tick contend with each other — and gives natural backpressure: a
-//! slow broker grows the batch instead of the thread count.
+//! One thread per connection reads and parses request lines and posts
+//! them on its shard's queue (connection `c` → shard `c mod S`). There
+//! is no dispatcher thread: each shard has a dispatch *token*, and
+//! whichever connection thread holds it serves the queue — flat
+//! combining. A poster that finds the token free takes it, drains the
+//! queue in batches ("ticks"), opens a fresh contention epoch per
+//! batch, and serves every request in arrival order before writing the
+//! response lines back. A poster that finds the token held leaves its
+//! frame to the holder, which releases the token only under the queue
+//! lock and with the queue empty, so no frame is stranded. Batching keeps the epoch semantics
+//! of the [`crate::TrafficBoard`] meaningful — requests landing in the
+//! same tick contend with each other — and gives natural backpressure:
+//! a slow broker grows the batch instead of the thread count. With
+//! `S > 1` ticks are plane-folded (`S` ticks make one epoch), exactly
+//! as with one dispatcher thread per shard.
 //!
 //! Robustness rules (specified in `docs/PROTOCOL.md`, operational
 //! guidance in `docs/OPERATIONS.md`):
@@ -16,13 +23,17 @@
 //! * Frames are capped at [`MAX_FRAME`] bytes. An oversized frame gets
 //!   a typed `wire` error and the rest of the line is discarded; the
 //!   connection stays usable.
+//! * Every frame — request or response, JSON plus newline — goes out
+//!   in one write, so the peer wakes once per frame.
 //! * A connection that drops — cleanly or mid-frame — has every lease
-//!   it acquired revoked and reclaimed on the next dispatcher tick.
+//!   it acquired revoked and reclaimed on the next tick.
 //! * Telemetry is wait-free at emission: broker events land in
 //!   per-thread rings; the serve binary's background collector drains
 //!   them to the trace file,
 //!   so the buffered tail of a `--trace` file survives even a panic
-//!   unwinding the dispatcher thread.
+//!   unwinding a serving thread.
+//! * [`Server::shutdown`] ends all serving: once it returns, no thread
+//!   of the server touches the broker again.
 //! * [`Client`] offers capped exponential backoff retries
 //!   ([`RetryPolicy`]) for transient errors and per-request deadlines
 //!   ([`Client::set_deadline`]).
@@ -43,8 +54,8 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -112,12 +123,21 @@ impl Write for Conn {
     }
 }
 
+/// Writes one frame — `json` plus its newline — with a single
+/// `write_all`, so a peer blocked in `read_line` wakes once per frame
+/// instead of once for the payload and again for the newline.
+fn write_frame(out: &mut impl Write, json: String) -> std::io::Result<()> {
+    let mut line = json;
+    line.push('\n');
+    out.write_all(line.as_bytes())
+}
+
 enum Bound {
     Tcp(TcpListener),
     Unix(UnixListener, PathBuf),
 }
 
-/// One unit of dispatcher work.
+/// One unit of serving work.
 enum Work {
     /// A (possibly malformed) request frame from `conn_id`.
     Request { conn_id: u64, request: Result<Request, ServiceError>, reply_to: Arc<Mutex<Conn>> },
@@ -125,16 +145,28 @@ enum Work {
     Disconnect { conn_id: u64 },
 }
 
+/// One dispatch shard: its admission queue and the token whose holder
+/// serves that queue.
 #[derive(Default)]
-struct Queue {
+struct Shard {
     pending: Mutex<VecDeque<Work>>,
-    wakeup: Condvar,
+    token: Mutex<()>,
 }
 
-impl Queue {
-    fn post(&self, work: Work) {
-        self.pending.lock().expect("queue poisoned").push_back(work);
-        self.wakeup.notify_one();
+impl Shard {
+    fn len(&self) -> usize {
+        self.pending.lock().expect("queue poisoned").len()
+    }
+
+    /// The dispatch token, unless another thread holds it. A token
+    /// left poisoned by a panicking holder is taken over: the panic
+    /// belonged to one request, not to the shard.
+    fn try_token(&self) -> Option<MutexGuard<'_, ()>> {
+        match self.token.try_lock() {
+            Ok(token) => Some(token),
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
     }
 }
 
@@ -152,38 +184,34 @@ fn discard_to_newline<R: BufRead>(reader: &mut R) -> bool {
     }
 }
 
-/// How long an idle shard dispatcher blocks before re-checking its
-/// siblings' queues for stealable work. Irrelevant with one shard
-/// (posts wake the dispatcher directly).
-const STEAL_POLL: Duration = Duration::from_millis(2);
+/// Live connections: a handle to shut each socket down with, and the
+/// thread serving it.
+type Conns = Vec<(Conn, JoinHandle<()>)>;
 
 /// The running service.
 pub struct Server {
-    broker: Arc<Broker>,
-    queues: Arc<Vec<Queue>>,
-    stop: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<Conn>>>,
-    accept_thread: Option<JoinHandle<()>>,
-    dispatch_threads: Vec<JoinHandle<()>>,
+    plane: Arc<Plane>,
+    /// Returns the live connections once stopped.
+    accept_thread: Option<JoinHandle<Conns>>,
     local_addr: String,
     sock_path: Option<PathBuf>,
     config: ShardConfig,
 }
 
-/// A dispatcher-side observer of accepted requests: called with the
+/// A serving-side observer of accepted requests: called with the
 /// current service epoch and each well-formed request, in exactly the
-/// order the dispatcher serves them. `hetmem-serve --record` wires
-/// this to a wire-log writer so the run can be replayed later.
+/// order they are served. `hetmem-serve --record` wires this to a
+/// wire-log writer so the run can be replayed later.
 pub type RequestRecorder = Box<dyn FnMut(u64, &Request) + Send>;
 
 impl Server {
-    /// Binds `addr` and starts the accept and dispatcher threads.
+    /// Binds `addr` and starts the accept thread.
     pub fn bind(broker: Arc<Broker>, addr: &str) -> Result<Server, ServiceError> {
         Server::bind_with(broker, addr, None)
     }
 
     /// [`Server::bind`] with an optional [`RequestRecorder`] invoked
-    /// from the dispatcher thread for every accepted (parsed) request
+    /// by the serving thread for every accepted (parsed) request
     /// frame, stamped with the epoch it executes in. Malformed frames
     /// are answered but never recorded — they have no effect on broker
     /// state, so a replay that skips them converges to the same state.
@@ -195,14 +223,14 @@ impl Server {
         Server::bind_sharded(broker, addr, recorder, ShardConfig::default())
     }
 
-    /// [`Server::bind_with`] over a sharded dispatch plane: one
-    /// dispatcher thread per shard, connections routed to shard
-    /// `conn_id mod S`, idle shards stealing the back half of the
-    /// longest sibling queue (`shard_steal` telemetry), and — when
-    /// [`ShardConfig::coalesce`] is set — consecutive mergeable
-    /// same-tenant `alloc` frames in a tick batched through one
-    /// [`Broker::acquire_batch`] planning walk (`batch_coalesced`
-    /// telemetry).
+    /// [`Server::bind_with`] over a sharded dispatch plane: one queue
+    /// and dispatch token per shard, connections routed to shard
+    /// `conn_id mod S`, posters whose own shard is busy stealing the
+    /// back half of the longest queue onto an idle sibling
+    /// (`shard_steal` telemetry), and — when [`ShardConfig::coalesce`]
+    /// is set — consecutive mergeable same-tenant `alloc` frames in a
+    /// tick batched through one [`Broker::acquire_batch`] planning
+    /// walk (`batch_coalesced` telemetry).
     ///
     /// Recording composes only with the single-dispatcher plane: a
     /// wire log replays serially, and neither a cross-shard thread
@@ -237,165 +265,56 @@ impl Server {
             Bound::Unix(_, path) => (format!("unix:{}", path.display()), Some(path.clone())),
         };
 
-        let shards = config.effective_shards() as usize;
-        // S dispatchers tick the broker S times per service round;
-        // fold those ticks into one epoch so contention windows and
-        // TTL aging stay round-wide.
-        broker.set_dispatch_planes(shards as u32);
-        let queues: Arc<Vec<Queue>> = Arc::new((0..shards).map(|_| Queue::default()).collect());
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<Conn>>> = Arc::new(Mutex::new(Vec::new()));
+        let shards = config.effective_shards();
+        // S shards tick the broker S times per service round; fold
+        // those ticks into one epoch so contention windows and TTL
+        // aging stay round-wide.
+        broker.set_dispatch_planes(shards);
+        let plane = Arc::new(Plane {
+            broker,
+            shards: (0..shards).map(|_| Shard::default()).collect(),
+            coalesce: config.coalesce,
+            stop: AtomicBool::new(false),
+            conn_leases: Mutex::new(HashMap::new()),
+            dead_conns: Mutex::new(HashSet::new()),
+            recorder: Mutex::new(recorder),
+        });
 
         let accept_thread = {
-            let queues = queues.clone();
-            let stop = stop.clone();
-            let conns = conns.clone();
-            let next_conn_id = AtomicU64::new(0);
-            std::thread::spawn(move || loop {
-                let conn = match &bound {
-                    Bound::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
-                    Bound::Unix(l, _) => l.accept().map(|(s, _)| Conn::Unix(s)),
-                };
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                let Ok(conn) = conn else {
-                    continue;
-                };
-                let Ok(write_half) = conn.try_clone() else {
-                    continue;
-                };
-                if let Ok(reader_half) = conn.try_clone() {
-                    conns.lock().expect("conns poisoned").push(reader_half);
-                }
-                let conn_id = next_conn_id.fetch_add(1, Ordering::Relaxed);
-                let reply_to = Arc::new(Mutex::new(write_half));
-                let queues = queues.clone();
-                let stop = stop.clone();
-                std::thread::spawn(move || {
-                    // A connection's frames always land on one shard,
-                    // so per-connection request order is preserved
-                    // (modulo stealing, which only moves queue tails).
-                    let queue = &queues[(conn_id % queues.len() as u64) as usize];
-                    let mut reader = BufReader::new(conn);
-                    loop {
-                        if stop.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        let mut buf = Vec::new();
-                        let n = reader
-                            .by_ref()
-                            .take(MAX_FRAME as u64 + 1)
-                            .read_until(b'\n', &mut buf)
-                            .unwrap_or_default();
-                        if n == 0 {
-                            queue.post(Work::Disconnect { conn_id });
-                            return;
-                        }
-                        let complete = buf.last() == Some(&b'\n');
-                        if !complete && buf.len() > MAX_FRAME {
-                            queue.post(Work::Request {
-                                conn_id,
-                                request: Err(ServiceError::Wire(format!(
-                                    "frame exceeds {MAX_FRAME} bytes"
-                                ))),
-                                reply_to: reply_to.clone(),
-                            });
-                            if !discard_to_newline(&mut reader) {
-                                queue.post(Work::Disconnect { conn_id });
-                                return;
-                            }
-                            continue;
-                        }
-                        if !complete {
-                            // EOF mid-frame: the peer died while
-                            // writing. Nothing to answer.
-                            queue.post(Work::Disconnect { conn_id });
-                            return;
-                        }
-                        let request = match String::from_utf8(buf) {
-                            Ok(line) if line.trim().is_empty() => continue,
-                            Ok(line) => Request::from_json(line.trim_end()),
-                            Err(_) => Err(ServiceError::Wire("frame is not valid UTF-8".into())),
-                        };
-                        queue.post(Work::Request { conn_id, request, reply_to: reply_to.clone() });
+            let plane = plane.clone();
+            std::thread::spawn(move || {
+                let mut conns = Conns::new();
+                let mut next_conn_id = 0u64;
+                loop {
+                    let conn = match &bound {
+                        Bound::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+                        Bound::Unix(l, _) => l.accept().map(|(s, _)| Conn::Unix(s)),
+                    };
+                    if plane.stopped() {
+                        return conns;
                     }
-                });
+                    let Ok(conn) = conn else {
+                        continue;
+                    };
+                    let (Ok(write_half), Ok(shutdown_half)) = (conn.try_clone(), conn.try_clone())
+                    else {
+                        continue;
+                    };
+                    let conn_id = next_conn_id;
+                    next_conn_id += 1;
+                    let reply_to = Arc::new(Mutex::new(write_half));
+                    let plane = plane.clone();
+                    let thread =
+                        std::thread::spawn(move || plane.serve_conn(conn_id, conn, reply_to));
+                    // Ended connections are forgotten: their threads
+                    // are done and their sockets can close.
+                    conns.retain(|(_, thread)| !thread.is_finished());
+                    conns.push((shutdown_half, thread));
+                }
             })
         };
 
-        // Leases granted per connection, so a dropped peer's capacity
-        // can be revoked and reclaimed. Shared across shard
-        // dispatchers: stealing can carry a connection's requests to a
-        // sibling shard, and any dispatcher must be able to revoke.
-        let conn_leases: Arc<Mutex<HashMap<u64, Vec<LeaseId>>>> =
-            Arc::new(Mutex::new(HashMap::new()));
-        // Connections already disconnected: a stolen request that
-        // grants after its peer's Disconnect was served elsewhere is
-        // revoked on the spot instead of leaking until its TTL.
-        let dead_conns: Arc<Mutex<HashSet<u64>>> = Arc::new(Mutex::new(HashSet::new()));
-        let recorder = Arc::new(Mutex::new(recorder));
-
-        let mut dispatch_threads = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let broker = broker.clone();
-            let queues = queues.clone();
-            let stop = stop.clone();
-            let conn_leases = conn_leases.clone();
-            let dead_conns = dead_conns.clone();
-            let recorder = recorder.clone();
-            let coalesce = config.coalesce;
-            dispatch_threads.push(std::thread::spawn(move || loop {
-                // One drained batch = one service tick = one
-                // contention epoch (per shard).
-                let mut batch: Vec<Work> = {
-                    let mut pending = queues[shard].pending.lock().expect("queue poisoned");
-                    if pending.is_empty() && !stop.load(Ordering::SeqCst) {
-                        // Bounded wait so an idle shard periodically
-                        // re-checks its siblings for stealable work.
-                        let (mut pending, _) = queues[shard]
-                            .wakeup
-                            .wait_timeout(pending, STEAL_POLL)
-                            .expect("queue poisoned");
-                        pending.drain(..).collect()
-                    } else {
-                        pending.drain(..).collect()
-                    }
-                };
-                if batch.is_empty() && shards > 1 {
-                    batch = steal_batch(&broker, &queues, shard);
-                }
-                if batch.is_empty() {
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    continue;
-                }
-                broker.advance_epoch();
-                serve_batch(
-                    &broker,
-                    shards as u32,
-                    coalesce,
-                    shard as u32,
-                    batch,
-                    &conn_leases,
-                    &dead_conns,
-                    &recorder,
-                );
-            }));
-        }
-
-        Ok(Server {
-            broker,
-            queues,
-            stop,
-            conns,
-            accept_thread: Some(accept_thread),
-            dispatch_threads,
-            local_addr,
-            sock_path,
-            config,
-        })
+        Ok(Server { plane, accept_thread: Some(accept_thread), local_addr, sock_path, config })
     }
 
     /// The bound address in connectable form (`tcp:127.0.0.1:PORT` or
@@ -406,7 +325,7 @@ impl Server {
 
     /// The broker behind the socket.
     pub fn broker(&self) -> &Arc<Broker> {
-        &self.broker
+        &self.plane.broker
     }
 
     /// The dispatch-plane shape this server runs.
@@ -414,25 +333,24 @@ impl Server {
         &self.config
     }
 
-    /// Stops accepting, drains nothing further, and joins the service
-    /// threads. Idempotent; also runs on drop.
+    /// Stops accepting, serves nothing further, and joins the accept
+    /// and connection threads: once this returns, the server no longer
+    /// touches the broker. Leases held by still-connected clients stay
+    /// granted. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
+        if self.plane.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Unblock the accept thread with a throwaway connection.
+        // Unblock the accept thread with a throwaway connection; once
+        // it is joined, no connection is added.
         let _ = Client::connect(&self.local_addr);
-        // Unblock connection readers.
-        for conn in self.conns.lock().expect("conns poisoned").drain(..) {
+        let conns = self.accept_thread.take().and_then(|t| t.join().ok()).unwrap_or_default();
+        // Unblock the connection threads' reads and writes. A thread
+        // still serving a tick finishes it, then sees `stop`.
+        for (conn, _) in &conns {
             conn.shutdown();
         }
-        for queue in self.queues.iter() {
-            queue.wakeup.notify_all();
-        }
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        for t in self.dispatch_threads.drain(..) {
+        for (_, t) in conns {
             let _ = t.join();
         }
         if let Some(path) = self.sock_path.take() {
@@ -447,17 +365,312 @@ impl Drop for Server {
     }
 }
 
-/// Takes the back half of the longest sibling queue (≥ 2 pending) for
-/// an idle shard, emitting one `shard_steal` event. Victims keep
-/// their queue head, so stolen work never overtakes the victim's
-/// older requests.
-fn steal_batch(broker: &Broker, queues: &[Queue], thief: usize) -> Vec<Work> {
+/// The dispatch plane every connection thread shares: the shard queues
+/// and tokens, and the per-connection lease ledger a token holder
+/// updates as it serves.
+struct Plane {
+    broker: Arc<Broker>,
+    shards: Vec<Shard>,
+    coalesce: bool,
+    stop: AtomicBool,
+    /// Leases granted per connection, so a dropped peer's capacity can
+    /// be revoked and reclaimed. Shared by every shard: stealing can
+    /// carry a connection's requests to a sibling shard, and any token
+    /// holder must be able to revoke.
+    conn_leases: Mutex<HashMap<u64, Vec<LeaseId>>>,
+    /// Connections already disconnected: a stolen request that grants
+    /// after its peer's Disconnect was served elsewhere is revoked on
+    /// the spot instead of leaking until its TTL.
+    dead_conns: Mutex<HashSet<u64>>,
+    recorder: Mutex<Option<RequestRecorder>>,
+}
+
+impl Plane {
+    fn stopped(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    /// A connection thread: reads frames until the peer hangs up,
+    /// posting each one — and serving whatever the shard's token lets
+    /// it serve.
+    fn serve_conn(&self, conn_id: u64, conn: Conn, reply_to: Arc<Mutex<Conn>>) {
+        // A connection's frames always land on one shard, so
+        // per-connection request order is preserved (modulo stealing,
+        // which only moves queue tails).
+        let home = (conn_id % self.shards.len() as u64) as usize;
+        let mut reader = BufReader::new(conn);
+        loop {
+            if self.stopped() {
+                return;
+            }
+            let mut buf = Vec::new();
+            let n = reader
+                .by_ref()
+                .take(MAX_FRAME as u64 + 1)
+                .read_until(b'\n', &mut buf)
+                .unwrap_or_default();
+            if n == 0 {
+                self.post(home, Work::Disconnect { conn_id });
+                return;
+            }
+            let complete = buf.last() == Some(&b'\n');
+            if !complete && buf.len() > MAX_FRAME {
+                let request = Err(ServiceError::Wire(format!("frame exceeds {MAX_FRAME} bytes")));
+                self.post(home, Work::Request { conn_id, request, reply_to: reply_to.clone() });
+                if !discard_to_newline(&mut reader) {
+                    self.post(home, Work::Disconnect { conn_id });
+                    return;
+                }
+                continue;
+            }
+            if !complete {
+                // EOF mid-frame: the peer died while writing. Nothing
+                // to answer.
+                self.post(home, Work::Disconnect { conn_id });
+                return;
+            }
+            let request = match String::from_utf8(buf) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => Request::from_json(line.trim_end()),
+                Err(_) => Err(ServiceError::Wire("frame is not valid UTF-8".into())),
+            };
+            self.post(home, Work::Request { conn_id, request, reply_to: reply_to.clone() });
+        }
+    }
+
+    /// Queues `work` on shard `home`, then combines: serves the shard
+    /// if its token is free, and otherwise leaves the frame to the
+    /// token holder — stealing onto an idle sibling when `home` is
+    /// backed up. Nothing is posted or served after shutdown.
+    fn post(&self, home: usize, work: Work) {
+        if self.stopped() {
+            return;
+        }
+        self.shards[home].pending.lock().expect("queue poisoned").push_back(work);
+        match self.shards[home].try_token() {
+            Some(token) => self.serve_held(home, token, Vec::new()),
+            None if self.shards.len() > 1 => self.steal_for(home),
+            None => {}
+        }
+    }
+
+    /// With `shard`'s token held: serves `batch`, then drains the
+    /// shard's queue until it is empty, one drained batch per service
+    /// tick (one contention epoch per shard).
+    ///
+    /// The token is released under the queue lock, once the queue is
+    /// seen empty. A poster pushes under that lock and tries the token
+    /// after, so either its frame was in a drained batch or it finds
+    /// the token free — or held by a later holder, which drains after
+    /// the push. No frame is left queued without a holder to serve it.
+    fn serve_held(&self, shard: usize, token: MutexGuard<'_, ()>, mut batch: Vec<Work>) {
+        loop {
+            if batch.is_empty() {
+                let mut pending = self.shards[shard].pending.lock().expect("queue poisoned");
+                if pending.is_empty() || self.stopped() {
+                    drop(token);
+                    return;
+                }
+                batch = pending.drain(..).collect();
+            }
+            self.broker.advance_epoch();
+            self.serve_batch(shard as u32, std::mem::take(&mut batch));
+        }
+    }
+
+    /// The poster's own shard is busy and at least two frames wait
+    /// behind its holder: take the first idle sibling's token and, as
+    /// that shard, serve the back half of the longest queue
+    /// ([`steal_batch`]), then the sibling's own queue.
+    fn steal_for(&self, home: usize) {
+        if self.shards[home].len() < 2 {
+            return;
+        }
+        for thief in (0..self.shards.len()).filter(|&s| s != home) {
+            if let Some(token) = self.shards[thief].try_token() {
+                let stolen = steal_batch(&self.broker, &self.shards, thief);
+                self.serve_held(thief, token, stolen);
+                return;
+            }
+        }
+    }
+
+    /// Serves one tick. With coalescing on, consecutive mergeable
+    /// same-tenant `alloc` frames are batched through one
+    /// [`Broker::acquire_batch`] walk; everything else takes the
+    /// serial path.
+    fn serve_batch(&self, shard: u32, batch: Vec<Work>) {
+        let mut items: Vec<Option<Work>> = batch.into_iter().map(Some).collect();
+        let mut i = 0;
+        while i < items.len() {
+            if self.coalesce {
+                let mut j = i;
+                while j < items.len()
+                    && alloc_key(items[i].as_ref().expect("item taken"))
+                        .zip(alloc_key(items[j].as_ref().expect("item taken")))
+                        .is_some_and(|(a, b)| a == b)
+                {
+                    j += 1;
+                }
+                if j - i >= 2 {
+                    let run: Vec<Work> =
+                        items[i..j].iter_mut().map(|s| s.take().expect("item taken")).collect();
+                    self.serve_run(shard, run);
+                    i = j;
+                    continue;
+                }
+            }
+            let item = items[i].take().expect("item taken");
+            self.serve_one(item);
+            i += 1;
+        }
+    }
+
+    /// Serves one coalescable run (all items well-formed `alloc`
+    /// frames with equal keys) through a single
+    /// [`Broker::acquire_batch`] call, fanning the grants back out to
+    /// each frame's connection.
+    fn serve_run(&self, shard: u32, run: Vec<Work>) {
+        let broker = &self.broker;
+        let mut tenant_name = String::new();
+        let mut ttl = None;
+        let mut reqs = Vec::with_capacity(run.len());
+        let mut replies = Vec::with_capacity(run.len());
+        for item in run {
+            let Work::Request {
+                conn_id,
+                request: Ok(Request::Alloc { tenant, size, criterion, fallback, label, ttl: t }),
+                reply_to,
+            } = item
+            else {
+                unreachable!("serve_run only receives well-formed alloc frames");
+            };
+            tenant_name = tenant;
+            ttl = t;
+            let mut req = AllocRequest::new(size).criterion(criterion).fallback(fallback);
+            if let Some(label) = label {
+                req = req.label(label);
+            }
+            reqs.push(req);
+            replies.push((conn_id, reply_to));
+        }
+        let outcomes = match broker.tenant_id(&tenant_name) {
+            Some(id) => broker.acquire_batch(id, &reqs, ttl, shard),
+            None => {
+                let e = ServiceError::UnknownTenant(tenant_name.clone());
+                reqs.iter().map(|_| Err(e.clone())).collect()
+            }
+        };
+        for ((conn_id, reply_to), outcome) in replies.into_iter().zip(outcomes) {
+            let response = match outcome {
+                Ok(lease) => {
+                    let resp = Response::Granted {
+                        lease: lease.id().0,
+                        size: lease.size(),
+                        placement: lease.placement().to_vec(),
+                        fast_bytes: lease.fast_bytes(),
+                    };
+                    self.track_lease(conn_id, &resp, None);
+                    resp
+                }
+                Err(e) => Response::from_error(&e),
+            };
+            reply(&reply_to, &response);
+        }
+    }
+
+    /// Serves one work item on the serial path — the single-dispatcher
+    /// semantics, verbatim.
+    fn serve_one(&self, item: Work) {
+        match item {
+            Work::Disconnect { conn_id } => {
+                // Mark dead *before* revoking, so a racing grant on a
+                // sibling shard either sees the mark (and revokes
+                // itself) or lands in conn_leases in time to be
+                // revoked here.
+                self.dead_conns.lock().expect("dead conns poisoned").insert(conn_id);
+                let held = self
+                    .conn_leases
+                    .lock()
+                    .expect("conn leases poisoned")
+                    .remove(&conn_id)
+                    .unwrap_or_default();
+                for lease in held {
+                    // Already freed or expired ids come back
+                    // UnknownLease; that's fine.
+                    let _ = self.broker.revoke(lease, "disconnect");
+                }
+            }
+            Work::Request { conn_id, request, reply_to } => {
+                let response = match request {
+                    Ok(request) => {
+                        if let Some(rec) = self.recorder.lock().expect("recorder poisoned").as_mut()
+                        {
+                            rec(self.broker.epoch(), &request);
+                        }
+                        let freeing = match &request {
+                            Request::Free { lease, .. } => Some(LeaseId(*lease)),
+                            _ => None,
+                        };
+                        let resp =
+                            serve_with_shards(&self.broker, request, self.shards.len() as u32);
+                        self.track_lease(conn_id, &resp, freeing);
+                        resp
+                    }
+                    Err(e) => Response::from_error(&e),
+                };
+                reply(&reply_to, &response);
+            }
+        }
+    }
+
+    /// Updates the per-connection lease ledger for one response. A
+    /// grant to an already-disconnected peer is revoked on the spot
+    /// (lock order: `conn_leases` then `dead_conns` — the only place
+    /// both are held).
+    fn track_lease(&self, conn_id: u64, resp: &Response, freeing: Option<LeaseId>) {
+        match resp {
+            Response::Granted { lease, .. } => {
+                let id = LeaseId(*lease);
+                let mut leases = self.conn_leases.lock().expect("conn leases poisoned");
+                if self.dead_conns.lock().expect("dead conns poisoned").contains(&conn_id) {
+                    let _ = self.broker.revoke(id, "disconnect");
+                } else {
+                    leases.entry(conn_id).or_default().push(id);
+                }
+            }
+            Response::Freed => {
+                if let Some(id) = freeing {
+                    if let Some(held) =
+                        self.conn_leases.lock().expect("conn leases poisoned").get_mut(&conn_id)
+                    {
+                        held.retain(|l| *l != id);
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Writes one response frame to a connection. A peer that has gone
+/// away is ignored here; its connection thread posts the disconnect.
+fn reply(reply_to: &Mutex<Conn>, response: &Response) {
+    let mut out = reply_to.lock().expect("conn poisoned");
+    let _ = write_frame(&mut *out, response.to_json());
+}
+
+/// Takes the back half of the longest queue other than the thief's
+/// (≥ 2 pending), emitting one `shard_steal` event. Victims keep
+/// their queue head, so stolen work never overtakes the victim's older
+/// requests.
+fn steal_batch(broker: &Broker, shards: &[Shard], thief: usize) -> Vec<Work> {
     let mut best: Option<(usize, usize)> = None;
-    for (i, queue) in queues.iter().enumerate() {
+    for (i, shard) in shards.iter().enumerate() {
         if i == thief {
             continue;
         }
-        let len = queue.pending.lock().expect("queue poisoned").len();
+        let len = shard.len();
         if len >= 2 && best.is_none_or(|(best_len, _)| len > best_len) {
             best = Some((len, i));
         }
@@ -466,7 +679,7 @@ fn steal_batch(broker: &Broker, queues: &[Queue], thief: usize) -> Vec<Work> {
         return Vec::new();
     };
     let stolen: Vec<Work> = {
-        let mut pending = queues[victim].pending.lock().expect("queue poisoned");
+        let mut pending = shards[victim].pending.lock().expect("queue poisoned");
         let len = pending.len();
         if len < 2 {
             // The victim drained between the scan and the lock.
@@ -486,47 +699,6 @@ fn steal_batch(broker: &Broker, queues: &[Queue], thief: usize) -> Vec<Work> {
     stolen
 }
 
-/// Serves one dispatcher tick. With coalescing on, consecutive
-/// mergeable same-tenant `alloc` frames are batched through one
-/// [`Broker::acquire_batch`] walk; everything else takes the serial
-/// path.
-#[allow(clippy::too_many_arguments)]
-fn serve_batch(
-    broker: &Arc<Broker>,
-    shards: u32,
-    coalesce: bool,
-    shard: u32,
-    batch: Vec<Work>,
-    conn_leases: &Mutex<HashMap<u64, Vec<LeaseId>>>,
-    dead_conns: &Mutex<HashSet<u64>>,
-    recorder: &Mutex<Option<RequestRecorder>>,
-) {
-    let mut items: Vec<Option<Work>> = batch.into_iter().map(Some).collect();
-    let mut i = 0;
-    while i < items.len() {
-        if coalesce {
-            let mut j = i;
-            while j < items.len()
-                && alloc_key(items[i].as_ref().expect("item taken"))
-                    .zip(alloc_key(items[j].as_ref().expect("item taken")))
-                    .is_some_and(|(a, b)| a == b)
-            {
-                j += 1;
-            }
-            if j - i >= 2 {
-                let run: Vec<Work> =
-                    items[i..j].iter_mut().map(|s| s.take().expect("item taken")).collect();
-                serve_run(broker, shard, run, conn_leases, dead_conns);
-                i = j;
-                continue;
-            }
-        }
-        let item = items[i].take().expect("item taken");
-        serve_one(broker, shards, item, conn_leases, dead_conns, recorder);
-        i += 1;
-    }
-}
-
 /// The coalescing key of a work item: `Some` only for well-formed
 /// `alloc` frames, equal only when a merged planning walk is
 /// admissible (same tenant, criterion, fallback and TTL — labels may
@@ -540,150 +712,6 @@ fn alloc_key(work: &Work) -> Option<(&str, AttrId, Fallback, Option<u64>)> {
         _ => None,
     }
 }
-
-/// Serves one coalescable run (all items well-formed `alloc` frames
-/// with equal keys) through a single [`Broker::acquire_batch`] call,
-/// fanning the grants back out to each frame's connection.
-fn serve_run(
-    broker: &Arc<Broker>,
-    shard: u32,
-    run: Vec<Work>,
-    conn_leases: &Mutex<HashMap<u64, Vec<LeaseId>>>,
-    dead_conns: &Mutex<HashSet<u64>>,
-) {
-    let mut tenant_name = String::new();
-    let mut ttl = None;
-    let mut reqs = Vec::with_capacity(run.len());
-    let mut replies = Vec::with_capacity(run.len());
-    for item in run {
-        let Work::Request {
-            conn_id,
-            request: Ok(Request::Alloc { tenant, size, criterion, fallback, label, ttl: t }),
-            reply_to,
-        } = item
-        else {
-            unreachable!("serve_run only receives well-formed alloc frames");
-        };
-        tenant_name = tenant;
-        ttl = t;
-        let mut req = AllocRequest::new(size).criterion(criterion).fallback(fallback);
-        if let Some(label) = label {
-            req = req.label(label);
-        }
-        reqs.push(req);
-        replies.push((conn_id, reply_to));
-    }
-    let outcomes = match broker.tenant_id(&tenant_name) {
-        Some(id) => broker.acquire_batch(id, &reqs, ttl, shard),
-        None => {
-            let e = ServiceError::UnknownTenant(tenant_name.clone());
-            reqs.iter().map(|_| Err(e.clone())).collect()
-        }
-    };
-    for ((conn_id, reply_to), outcome) in replies.into_iter().zip(outcomes) {
-        let response = match outcome {
-            Ok(lease) => {
-                let resp = Response::Granted {
-                    lease: lease.id().0,
-                    size: lease.size(),
-                    placement: lease.placement().to_vec(),
-                    fast_bytes: lease.fast_bytes(),
-                };
-                track_lease(broker, conn_id, &resp, None, conn_leases, dead_conns);
-                resp
-            }
-            Err(e) => Response::from_error(&e),
-        };
-        let mut out = reply_to.lock().expect("conn poisoned");
-        let _ = writeln!(out, "{}", response.to_json());
-        let _ = out.flush();
-    }
-}
-
-/// Serves one work item on the serial path — the single-dispatcher
-/// semantics, verbatim.
-fn serve_one(
-    broker: &Arc<Broker>,
-    shards: u32,
-    item: Work,
-    conn_leases: &Mutex<HashMap<u64, Vec<LeaseId>>>,
-    dead_conns: &Mutex<HashSet<u64>>,
-    recorder: &Mutex<Option<RequestRecorder>>,
-) {
-    match item {
-        Work::Disconnect { conn_id } => {
-            // Mark dead *before* revoking, so a racing grant on a
-            // sibling shard either sees the mark (and revokes itself)
-            // or lands in conn_leases in time to be revoked here.
-            dead_conns.lock().expect("dead conns poisoned").insert(conn_id);
-            let held = conn_leases
-                .lock()
-                .expect("conn leases poisoned")
-                .remove(&conn_id)
-                .unwrap_or_default();
-            for lease in held {
-                // Already freed or expired ids come back UnknownLease;
-                // that's fine.
-                let _ = broker.revoke(lease, "disconnect");
-            }
-        }
-        Work::Request { conn_id, request, reply_to } => {
-            let response = match request {
-                Ok(request) => {
-                    if let Some(rec) = recorder.lock().expect("recorder poisoned").as_mut() {
-                        rec(broker.epoch(), &request);
-                    }
-                    let freeing = match &request {
-                        Request::Free { lease, .. } => Some(LeaseId(*lease)),
-                        _ => None,
-                    };
-                    let resp = serve_with_shards(broker, request, shards);
-                    track_lease(broker, conn_id, &resp, freeing, conn_leases, dead_conns);
-                    resp
-                }
-                Err(e) => Response::from_error(&e),
-            };
-            let mut out = reply_to.lock().expect("conn poisoned");
-            let _ = writeln!(out, "{}", response.to_json());
-            let _ = out.flush();
-        }
-    }
-}
-
-/// Updates the per-connection lease ledger for one response. A grant
-/// to an already-disconnected peer is revoked on the spot (lock order:
-/// `conn_leases` then `dead_conns` — the only place both are held).
-fn track_lease(
-    broker: &Broker,
-    conn_id: u64,
-    resp: &Response,
-    freeing: Option<LeaseId>,
-    conn_leases: &Mutex<HashMap<u64, Vec<LeaseId>>>,
-    dead_conns: &Mutex<HashSet<u64>>,
-) {
-    match resp {
-        Response::Granted { lease, .. } => {
-            let id = LeaseId(*lease);
-            let mut leases = conn_leases.lock().expect("conn leases poisoned");
-            if dead_conns.lock().expect("dead conns poisoned").contains(&conn_id) {
-                let _ = broker.revoke(id, "disconnect");
-            } else {
-                leases.entry(conn_id).or_default().push(id);
-            }
-        }
-        Response::Freed => {
-            if let Some(id) = freeing {
-                if let Some(held) =
-                    conn_leases.lock().expect("conn leases poisoned").get_mut(&conn_id)
-                {
-                    held.retain(|l| *l != id);
-                }
-            }
-        }
-        _ => {}
-    }
-}
-
 /// Serves one already-parsed request against the broker.
 pub fn serve(broker: &Broker, request: Request) -> Response {
     serve_with_shards(broker, request, 1)
@@ -929,8 +957,7 @@ impl Client {
     /// Sends one request and blocks for its response (no retries).
     pub fn call(&mut self, request: &Request) -> Result<Response, ServiceError> {
         let io = |e: std::io::Error| ServiceError::Io(e.to_string());
-        writeln!(self.writer, "{}", request.to_json()).map_err(io)?;
-        self.writer.flush().map_err(io)?;
+        write_frame(&mut self.writer, request.to_json()).map_err(io)?;
         let mut line = String::new();
         let n = match self.reader.read_line(&mut line) {
             Ok(n) => n,
@@ -1078,7 +1105,7 @@ mod tests {
         };
         assert_eq!(tenants.len(), 1);
         assert_eq!(nodes.len(), 8, "KNL SNC-4 flat has 8 NUMA nodes");
-        assert_eq!(shards, 1, "default plane is the single dispatcher");
+        assert_eq!(shards, 1, "default plane has one shard");
         assert_eq!(guided, None, "guidance is off unless enabled");
         server.shutdown();
     }
@@ -1136,8 +1163,8 @@ mod tests {
         assert!(matches!(resp, Response::Granted { .. }), "{resp:?}");
         assert_eq!(server.broker().live_leases(), 1);
         drop(client);
-        // The reader thread posts the disconnect; the dispatcher
-        // revokes on its next tick.
+        // The connection thread posts the disconnect and serves it
+        // on its shard's next tick.
         for _ in 0..200 {
             if server.broker().live_leases() == 0 {
                 break;
@@ -1151,13 +1178,79 @@ mod tests {
     }
 
     #[test]
+    fn shutdown_ends_all_serving() {
+        let mut server = serve_knl();
+        let broker = server.broker().clone();
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        register(&mut client, "t");
+        for _ in 0..3 {
+            let resp = client
+                .call(&Request::Alloc {
+                    tenant: "t".into(),
+                    size: 1 << 20,
+                    criterion: hetmem_core::attr::BANDWIDTH,
+                    fallback: hetmem_alloc::Fallback::PartialSpill,
+                    label: None,
+                    ttl: None,
+                })
+                .expect("alloc");
+            assert!(matches!(resp, Response::Granted { .. }), "{resp:?}");
+        }
+        let epoch = broker.epoch();
+        server.shutdown();
+        // The connection thread saw its socket close during shutdown;
+        // it must not post (or serve) a disconnect afterwards.
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(broker.live_leases(), 3, "no revocation after shutdown");
+        assert_eq!(broker.robustness().revoked, 0);
+        assert_eq!(broker.epoch(), epoch, "no tick after shutdown");
+        broker.check_invariants().expect("clean");
+        drop(client);
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(broker.live_leases(), 3, "a hang-up after shutdown is not served either");
+    }
+
+    #[test]
+    fn pipelined_frames_are_answered_in_order() {
+        let mut server = serve_knl();
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        register(&mut client, "t");
+        // 32 frames written before any response is read: allocs whose
+        // sizes number them, so the responses show their order.
+        let frames: String = (1..=32u64)
+            .map(|i| {
+                let alloc = Request::Alloc {
+                    tenant: "t".into(),
+                    size: i << 20,
+                    criterion: hetmem_core::attr::CAPACITY,
+                    fallback: hetmem_alloc::Fallback::PartialSpill,
+                    label: None,
+                    ttl: None,
+                };
+                alloc.to_json() + "\n"
+            })
+            .collect();
+        client.writer.write_all(frames.as_bytes()).expect("write");
+        for i in 1..=32u64 {
+            let mut line = String::new();
+            client.reader.read_line(&mut line).expect("read");
+            let resp = Response::from_json(line.trim_end()).expect("parse");
+            let Response::Granted { size, .. } = resp else {
+                panic!("frame {i}: expected grant, got {resp:?}");
+            };
+            assert_eq!(size, i << 20, "response {i} answers frame {i}");
+        }
+        assert_eq!(server.broker().live_leases(), 32);
+        server.shutdown();
+    }
+
+    #[test]
     fn oversized_frames_get_a_typed_error_and_the_conn_survives() {
         let mut server = serve_knl();
         let mut client = Client::connect(server.local_addr()).expect("connect");
         // Hand-write a frame one byte over the cap.
         let huge = format!("{{\"op\":\"stats\",\"pad\":\"{}\"}}\n", "x".repeat(MAX_FRAME));
         client.writer.write_all(huge.as_bytes()).expect("write");
-        client.writer.flush().expect("flush");
         let mut line = String::new();
         client.reader.read_line(&mut line).expect("read");
         let resp = Response::from_json(line.trim_end()).expect("parse");

@@ -26,8 +26,9 @@
 //! [`ShardCore`] here is the deterministic, thread-free form of that
 //! plane: callers `submit` then `drain` on one thread, and the exact
 //! same request stream produces the exact same grants, steals and
-//! telemetry every run. The live server wraps the same semantics in
-//! one dispatcher thread per shard (`Server::bind_sharded`); the load
+//! telemetry every run. The live server serves the same semantics
+//! from its connection threads, one per-shard dispatch token at a
+//! time (`Server::bind_sharded`); the load
 //! harness drives `ShardCore` directly so its numbers are
 //! reproducible on any machine.
 //!

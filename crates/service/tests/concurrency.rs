@@ -8,10 +8,12 @@ use hetmem_memsim::Machine;
 use hetmem_service::{
     server::{Client, Server},
     wire::{Request, Response},
-    ArbitrationPolicy, Broker, Priority, TenantSpec,
+    ArbitrationPolicy, Broker, Priority, ServiceError, ShardConfig, TenantSpec,
 };
 use hetmem_topology::MemoryKind;
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 fn knl_broker(policy: ArbitrationPolicy) -> Arc<Broker> {
     let machine = Arc::new(Machine::knl_snc4_flat());
@@ -124,58 +126,106 @@ fn quota_clamps_hold_under_concurrency() {
     broker.check_invariants().expect("clean");
 }
 
+/// Wire clients per server, and allocs each one makes.
+const CLIENTS: usize = 8;
+const ROUNDS: u64 = 200;
+
 #[test]
 fn concurrent_wire_clients_round_trip_cleanly() {
-    let broker = knl_broker(ArbitrationPolicy::FairShare);
-    let mut server = Server::bind(broker, "tcp:127.0.0.1:0").expect("bind");
-    let addr = server.local_addr().to_string();
-    let handles: Vec<_> = (0..6)
-        .map(|i| {
-            let addr = addr.clone();
-            std::thread::spawn(move || {
-                let name = format!("client-{i}");
-                let mut client = Client::connect(&addr).expect("connect");
-                let resp = client
-                    .call(&Request::Register {
-                        tenant: name.clone(),
-                        priority: Priority::Normal,
-                        quota: vec![],
-                        reserve: vec![],
-                    })
-                    .expect("register");
-                assert!(matches!(resp, Response::Registered { .. }), "{resp:?}");
-                let mut leases = Vec::new();
-                for round in 0..20 {
-                    let resp = client
-                        .call(&Request::Alloc {
-                            tenant: name.clone(),
-                            size: (1 + round % 5) << 20,
-                            criterion: attr::BANDWIDTH,
-                            fallback: Fallback::PartialSpill,
-                            label: None,
-                            ttl: None,
-                        })
-                        .expect("alloc");
-                    let Response::Granted { lease, .. } = resp else {
-                        panic!("expected grant, got {resp:?}");
-                    };
-                    leases.push(lease);
-                }
-                for lease in leases {
-                    let resp =
-                        client.call(&Request::Free { tenant: name.clone(), lease }).expect("free");
-                    assert!(matches!(resp, Response::Freed), "{resp:?}");
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("client thread");
+    // Every shard count and coalescing mode serves rounds in which all
+    // clients post at once, under a deadline: a frame left in a queue
+    // with no token holder to serve it shows up as `DeadlineExceeded`.
+    for shards in [1, 2, 4] {
+        for coalesce in [false, true] {
+            let config = ShardConfig { shards, coalesce, ..ShardConfig::default() };
+            let broker = knl_broker(ArbitrationPolicy::FairShare);
+            let mut server =
+                Server::bind_sharded(broker, "tcp:127.0.0.1:0", None, config).expect("bind");
+            let start = Arc::new(Barrier::new(CLIENTS));
+            let handles: Vec<_> = (0..CLIENTS)
+                .map(|i| {
+                    let name = format!("client-{i}");
+                    let client = registered_client(server.local_addr(), &name);
+                    let start = start.clone();
+                    std::thread::spawn(move || wire_client_churn(client, &name, &start))
+                })
+                .collect();
+            for h in handles {
+                h.join().expect("client thread").unwrap_or_else(|e| panic!("{config:?}: {e}"));
+            }
+            let broker = server.broker();
+            assert_eq!(broker.live_leases(), 0, "{config:?}: no leaked leases");
+            broker.check_invariants().expect("clean");
+            let stats = broker.tenants();
+            assert_eq!(stats.len(), CLIENTS);
+            assert!(stats.iter().all(|t| t.admits == ROUNDS), "{config:?}: {stats:?}");
+            server.shutdown();
+        }
     }
-    assert_eq!(server.broker().live_leases(), 0, "no leaked leases");
-    server.broker().check_invariants().expect("clean");
-    let stats = server.broker().tenants();
-    assert_eq!(stats.len(), 6);
-    assert!(stats.iter().all(|t| t.admits == 20), "{stats:?}");
-    server.shutdown();
+}
+
+/// A connected, registered wire client whose calls have a 5 s
+/// deadline.
+fn registered_client(addr: &str, name: &str) -> Client {
+    let mut client = Client::connect(addr).expect("connect");
+    client.set_deadline(Some(Duration::from_secs(5))).expect("deadline");
+    let register = Request::Register {
+        tenant: name.into(),
+        priority: Priority::Normal,
+        quota: vec![],
+        reserve: vec![],
+    };
+    let resp = call(&mut client, &register).expect("register");
+    assert!(matches!(resp, Response::Registered { .. }), "{resp:?}");
+    client
+}
+
+/// Runs `ROUNDS` allocs, holding at most four leases and freeing the
+/// oldest as it goes, then frees the rest. Each round starts when
+/// every client reaches `start`, so frames land while another thread
+/// holds the shard's token; a stranded frame then waits out its
+/// deadline, since no other client posts until this one is answered.
+/// After a failure the client keeps meeting `start` so the others can
+/// finish.
+fn wire_client_churn(mut client: Client, name: &str, start: &Barrier) -> Result<(), String> {
+    let mut leases = VecDeque::new();
+    let mut outcome = Ok(());
+    for round in 0..ROUNDS {
+        start.wait();
+        outcome = outcome.and_then(|()| {
+            let alloc = Request::Alloc {
+                tenant: name.into(),
+                size: (1 + round % 5) << 20,
+                criterion: attr::BANDWIDTH,
+                fallback: Fallback::PartialSpill,
+                label: None,
+                ttl: None,
+            };
+            match call(&mut client, &alloc)? {
+                Response::Granted { lease, .. } => leases.push_back(lease),
+                other => return Err(format!("{name}: expected grant, got {other:?}")),
+            }
+            if leases.len() > 4 {
+                free(&mut client, name, leases.pop_front().expect("held"))
+            } else {
+                Ok(())
+            }
+        });
+    }
+    outcome?;
+    leases.into_iter().try_for_each(|lease| free(&mut client, name, lease))
+}
+
+fn free(client: &mut Client, name: &str, lease: u64) -> Result<(), String> {
+    match call(client, &Request::Free { tenant: name.into(), lease })? {
+        Response::Freed => Ok(()),
+        other => Err(format!("{name}: expected freed, got {other:?}")),
+    }
+}
+
+fn call(client: &mut Client, request: &Request) -> Result<Response, String> {
+    client.call(request).map_err(|e| match e {
+        ServiceError::DeadlineExceeded(op) => format!("{op} stranded: no token holder served it"),
+        e => e.to_string(),
+    })
 }

@@ -8,8 +8,9 @@
 //! against a simulated machine until killed. See
 //! `hetmem_service::wire` for the request vocabulary.
 //!
-//! `--shards N` runs N dispatcher threads over per-shard admission
-//! queues with request coalescing and work stealing (see
+//! `--shards N` runs N dispatch shards — per-shard admission queues
+//! served by the connection threads — with request coalescing and
+//! work stealing (see
 //! docs/OPERATIONS.md §8 for when to raise it); `--record` requires
 //! the default single-dispatcher plane.
 //!
@@ -187,7 +188,7 @@ fn main() {
                 let sink = TelemetrySink::new();
                 broker.set_sink(sink.clone());
                 let w = Arc::new(w);
-                // A panicking thread (the dispatcher included) must not
+                // A panicking thread (a serving one included) must not
                 // take the buffered trace tail with it: flush before
                 // the default hook prints the backtrace. The collector
                 // drains the rings on a short cadence and its Drop does

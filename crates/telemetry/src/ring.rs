@@ -166,6 +166,11 @@ impl Ring {
         }
         let pre = self.overwrite_seqn.load(Ordering::Relaxed);
         let start = read_seqn.max(pre);
+        if start >= wseq {
+            // The writer lapped this reader between the two loads:
+            // every frame below `wseq` was overwritten unread.
+            return (wseq, 0);
+        }
         let mut snap = Vec::with_capacity((wseq - start) as usize);
         for seqn in start..wseq {
             snap.push(self.cells[(seqn & self.mask) as usize].load(Ordering::Relaxed));

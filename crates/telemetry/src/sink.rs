@@ -31,6 +31,9 @@ struct SinkShared {
     ring_words: usize,
     epoch: AtomicU64,
     rings: Mutex<Vec<Arc<Ring>>>,
+    /// Registered rings whose writer was dropped (its thread ended),
+    /// reused before a new ring is registered.
+    free: Mutex<Vec<Arc<Ring>>>,
 }
 
 /// Cloneable entry point for wait-free telemetry.
@@ -98,6 +101,7 @@ impl TelemetrySink {
                 ring_words: words,
                 epoch: AtomicU64::new(0),
                 rings: Mutex::new(Vec::new()),
+                free: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -108,20 +112,24 @@ impl TelemetrySink {
         self.shared.enabled
     }
 
-    /// Registers a new per-thread ring and returns its owning writer.
+    /// Returns a writer owning a per-thread ring: one a dropped writer
+    /// handed back if any is free, else a newly registered one. The
+    /// sink therefore holds as many rings as writers were ever alive
+    /// at once, not one per thread that ever emitted.
     ///
     /// The writer is `Send` but neither `Sync` nor `Clone`: exactly
     /// one thread produces into each ring, which is what makes the
     /// fast path wait-free.
     pub fn writer(&self) -> ThreadWriter {
-        let ring = if self.shared.enabled {
-            let mut rings = self.shared.rings.lock().expect("sink rings poisoned");
-            let ring = Arc::new(Ring::new(self.shared.ring_words, rings.len() as u64));
-            rings.push(ring.clone());
-            Some(ring)
-        } else {
-            None
-        };
+        let ring = self.shared.enabled.then(|| {
+            let reused = self.shared.free.lock().expect("sink free list poisoned").pop();
+            reused.unwrap_or_else(|| {
+                let mut rings = self.shared.rings.lock().expect("sink rings poisoned");
+                let ring = Arc::new(Ring::new(self.shared.ring_words, rings.len() as u64));
+                rings.push(ring.clone());
+                ring
+            })
+        });
         ThreadWriter { shared: self.shared.clone(), ring, scratch: Vec::new() }
     }
 
@@ -202,13 +210,29 @@ impl ThreadWriter {
     }
 }
 
+impl Drop for ThreadWriter {
+    /// Hands the ring back for the next writer. All producer state
+    /// lives in the ring's atomics, and the free-list mutex orders this
+    /// writer's last push before the next owner's first, so the ring
+    /// keeps its label, its unread entries and exact loss accounting.
+    fn drop(&mut self) {
+        if let Some(ring) = self.ring.take() {
+            if let Ok(mut free) = self.shared.free.lock() {
+                free.push(ring);
+            }
+        }
+    }
+}
+
 /// One event as drained from a sink: the payload plus its sink-wide
 /// epoch stamp and the label of the thread that produced it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CollectedEvent {
     /// Sink-wide emission order stamp.
     pub epoch: u64,
-    /// Producing thread label (ring registration order).
+    /// Producing thread label (ring registration order). A ring is
+    /// reused once its thread ends, so the label names the ring, and
+    /// at any instant at most one live thread.
     pub thread: u64,
     /// The event.
     pub event: Event,
@@ -492,6 +516,38 @@ mod tests {
         let loss = bg.finish();
         assert_eq!(seen.lock().expect("seen").len(), 100);
         assert_eq!(loss.iter().map(|l| l.lost).sum::<u64>(), 0);
+    }
+
+    #[test]
+    fn finished_threads_hand_their_rings_on() {
+        // 64 short-lived producers, four alive at a time: the sink
+        // reuses their rings instead of keeping one per thread ever,
+        // and a collector draining between waves misses nothing.
+        let sink = TelemetrySink::new();
+        let mut collector = sink.collector();
+        let mut drained = 0;
+        for wave in 0..16u32 {
+            let threads: Vec<_> = (0..4u32)
+                .map(|t| {
+                    let sink = sink.clone();
+                    std::thread::spawn(move || {
+                        for i in 0..8 {
+                            sink.emit(gauge(wave * 100 + t * 10 + i));
+                        }
+                    })
+                })
+                .collect();
+            for t in threads {
+                t.join().expect("producer");
+            }
+            drained += collector.drain_sorted().len();
+        }
+        let rings = sink.shared.rings.lock().expect("rings").len();
+        assert!(rings <= 4, "{rings} rings for at most 4 live threads");
+        assert_eq!(drained, 64 * 8);
+        let loss = collector.loss();
+        assert_eq!(loss.iter().map(|l| l.lost).sum::<u64>(), 0, "{loss:?}");
+        assert_eq!(loss.iter().map(|l| l.written).sum::<u64>(), 64 * 8);
     }
 
     #[test]

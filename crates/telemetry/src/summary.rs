@@ -85,7 +85,7 @@ pub struct Summary {
     pub batches_coalesced: u64,
     /// Individual requests covered by those coalesced batches.
     pub coalesced_requests: u64,
-    /// Work-stealing grabs between shard dispatchers.
+    /// Work-stealing grabs between shards.
     pub shard_steals: u64,
     /// Individual queued requests moved by those steals.
     pub stolen_requests: u64,
