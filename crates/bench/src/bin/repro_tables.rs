@@ -11,7 +11,9 @@
 //! occupancy change of the capacity-conflict demo to a JSONL file and
 //! prints the aggregated placement report. With `--chaos` it instead
 //! captures the fault sweep's lifecycle events (`tier_degraded`,
-//! `lease_expired`, `reclaim`, ...).
+//! `lease_expired`, `reclaim`, ...). Either way the file is parsed
+//! back, and the run exits non-zero if that fails or the sink lost
+//! events. With `--all`, the chaos trace replaces the capacity one.
 //!
 //! The `--capacity`, `--guidance`, `--service`, `--chaos`, `--replay`,
 //! `--federation`, `--shard` and `--guided-service` runs also persist
@@ -237,6 +239,29 @@ fn emit_bench(area: &str, records: &[hetmem_bench::perf::BenchRecord]) {
     match hetmem_bench::perf::emit(area, records) {
         Ok(path) => println!("bench: wrote {}", path.display()),
         Err(e) => eprintln!("repro_tables: cannot write BENCH_{area}.json: {e}"),
+    }
+}
+
+/// Re-reads a `--trace` file written by this run. A trace that cannot
+/// be read or parsed back exits 1: the round trip is a gate.
+fn read_trace_back(path: &str) -> Vec<hetmem_telemetry::Event> {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("repro_tables: trace readback failed: {path}: {e}");
+        std::process::exit(1);
+    });
+    hetmem_telemetry::read_jsonl(&text).unwrap_or_else(|e| {
+        eprintln!("repro_tables: trace readback failed: {e}");
+        std::process::exit(1);
+    })
+}
+
+/// Exits 1 when the sink overwrote events before they were drained:
+/// a trace with holes is not a record of the run.
+fn exit_if_lossy(collector: &hetmem_telemetry::Collector) {
+    let lost: u64 = collector.loss().iter().map(|l| l.lost).sum();
+    if lost > 0 {
+        eprintln!("repro_tables: trace lost {lost} events");
+        std::process::exit(1);
     }
 }
 
@@ -762,9 +787,11 @@ fn chaos(trace: Option<&str>) {
         let rerun = run_load_chaos(ctx.machine.clone(), ctx.attrs.clone(), &cfg, &chaos);
         identical &= baseline == rerun;
         if let (Some(w), Some(sink)) = (&writer, &sink) {
-            for e in sink.collector().drain_sorted() {
+            let mut collector = sink.collector();
+            for e in collector.drain_sorted() {
                 w.write_event(&e.event);
             }
+            exit_if_lossy(&collector);
         }
         let s = baseline.chaos.as_ref().expect("chaos roll-up");
         survived &= s.hard_failures == 0;
@@ -809,23 +836,18 @@ fn chaos(trace: Option<&str>) {
     );
     if let (Some(w), Some(path)) = (&writer, trace) {
         let _ = w.flush();
-        let text = std::fs::read_to_string(path).unwrap_or_default();
-        match hetmem_telemetry::read_jsonl(&text) {
-            Ok(events) => {
-                let count = |kind: &str| events.iter().filter(|e| e.kind() == kind).count();
-                println!(
-                    "trace: {} events -> {path} (tier_degraded {}, lease_expired {}, \
-                     lease_revoked {}, reclaim {}, retry_exhausted {})",
-                    events.len(),
-                    count("tier_degraded"),
-                    count("lease_expired"),
-                    count("lease_revoked"),
-                    count("reclaim"),
-                    count("retry_exhausted")
-                );
-            }
-            Err(e) => eprintln!("repro_tables: trace readback failed: {e}"),
-        }
+        let events = read_trace_back(path);
+        let count = |kind: &str| events.iter().filter(|e| e.kind() == kind).count();
+        println!(
+            "trace: {} events -> {path} (tier_degraded {}, lease_expired {}, \
+             lease_revoked {}, reclaim {}, retry_exhausted {})",
+            events.len(),
+            count("tier_degraded"),
+            count("lease_expired"),
+            count("lease_revoked"),
+            count("reclaim"),
+            count("retry_exhausted")
+        );
     }
     println!();
 }
@@ -1364,18 +1386,10 @@ fn capacity(trace: Option<&str>) {
             w.write_event(&e.event);
         }
         let _ = w.flush();
-        let lost: u64 = collector.loss().iter().map(|l| l.lost).sum();
-        if lost > 0 {
-            eprintln!("repro_tables: trace lost {lost} events");
-        }
-        let text = std::fs::read_to_string(path).unwrap_or_default();
-        match hetmem_telemetry::read_jsonl(&text) {
-            Ok(events) => {
-                print!("{}", Summary::from_events(&events).render());
-                println!("trace: {} events -> {path}", events.len());
-            }
-            Err(e) => eprintln!("repro_tables: trace readback failed: {e}"),
-        }
+        exit_if_lossy(&collector);
+        let events = read_trace_back(path);
+        print!("{}", Summary::from_events(&events).render());
+        println!("trace: {} events -> {path}", events.len());
     }
     println!();
 }

@@ -47,6 +47,7 @@
 use hetmem_alloc::Fallback;
 use hetmem_core::{attr, AttrId};
 use hetmem_memsim::AccessPattern;
+use hetmem_service::wire::criterion_from_name;
 use hetmem_service::{ArbitrationPolicy, Priority};
 use hetmem_topology::MemoryKind;
 
@@ -288,17 +289,12 @@ fn parse_duration_ns(tok: &str, line: usize) -> Result<f64, ParseError> {
     Ok(v * mult)
 }
 
+/// The criterion vocabulary is the wire protocol's, so scripts and
+/// socket clients spell criteria the same way.
 fn parse_criterion(tok: &str, line: usize) -> Result<AttrId, ParseError> {
-    Ok(match tok.to_ascii_lowercase().as_str() {
-        "bandwidth" => attr::BANDWIDTH,
-        "latency" => attr::LATENCY,
-        "capacity" => attr::CAPACITY,
-        "locality" => attr::LOCALITY,
-        "readbandwidth" => attr::READ_BANDWIDTH,
-        "writebandwidth" => attr::WRITE_BANDWIDTH,
-        "readlatency" => attr::READ_LATENCY,
-        "writelatency" => attr::WRITE_LATENCY,
-        other => return Err(ParseError { line, message: format!("unknown criterion {other:?}") }),
+    criterion_from_name(tok).ok_or_else(|| ParseError {
+        line,
+        message: format!("unknown criterion {:?}", tok.to_ascii_lowercase()),
     })
 }
 

@@ -111,6 +111,61 @@ pub fn kind_from_name(s: &str) -> Option<MemoryKind> {
     })
 }
 
+/// Appends the `criterion`, `fallback`, `label` and `ttl` fields that
+/// `alloc` and `forward` frames share.
+fn push_alloc_options(
+    f: &mut Vec<(String, JsonValue)>,
+    criterion: AttrId,
+    fallback: Fallback,
+    label: &Option<String>,
+    ttl: Option<u64>,
+) {
+    f.reserve(4);
+    f.push(("criterion".into(), JsonValue::str(criterion_name(criterion))));
+    f.push(("fallback".into(), JsonValue::str(fallback_name(fallback))));
+    if let Some(label) = label {
+        f.push(("label".into(), JsonValue::str(label)));
+    }
+    if let Some(ttl) = ttl {
+        f.push(("ttl".into(), JsonValue::num(ttl as f64)));
+    }
+}
+
+/// Parses the fields [`push_alloc_options`] writes: `criterion`
+/// (default capacity), `fallback` (default next), and the optional
+/// `label` and `ttl`. A present field of the wrong type is an error.
+fn parse_alloc_options(
+    v: &JsonValue,
+) -> Result<(AttrId, Fallback, Option<String>, Option<u64>), ServiceError> {
+    let bad = |e: hetmem_telemetry::ParseError| ServiceError::Wire(e.to_string());
+    let criterion = match v.get("criterion") {
+        Ok(c) => {
+            let name = c.string().map_err(bad)?;
+            criterion_from_name(&name)
+                .ok_or_else(|| ServiceError::Wire(format!("unknown criterion {name:?}")))?
+        }
+        Err(_) => attr::CAPACITY,
+    };
+    let fallback = match v.get("fallback") {
+        Ok(fb) => {
+            let name = fb.string().map_err(bad)?;
+            fallback_from_name(&name)
+                .ok_or_else(|| ServiceError::Wire(format!("unknown fallback {name:?}")))?
+        }
+        Err(_) => Fallback::NextTarget,
+    };
+    let label = v.get("label").ok().map(|l| l.string().map_err(bad)).transpose()?;
+    let ttl = v.get("ttl").ok().map(|t| t.u64().map_err(bad)).transpose()?;
+    Ok((criterion, fallback, label, ttl))
+}
+
+/// A JSON number that must fit in a `u32` (ids and node numbers);
+/// larger values are rejected, not truncated.
+fn as_u32(v: &JsonValue) -> Result<u32, ServiceError> {
+    let n = v.u64().map_err(|e| ServiceError::Wire(e.to_string()))?;
+    u32::try_from(n).map_err(|_| ServiceError::Wire(format!("{n} overflows u32")))
+}
+
 /// One client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -260,15 +315,8 @@ impl Request {
                     ("op".into(), JsonValue::str("alloc")),
                     ("tenant".into(), JsonValue::str(tenant)),
                     ("size".into(), JsonValue::num(*size as f64)),
-                    ("criterion".into(), JsonValue::str(criterion_name(*criterion))),
-                    ("fallback".into(), JsonValue::str(fallback_name(*fallback))),
                 ];
-                if let Some(label) = label {
-                    f.push(("label".into(), JsonValue::str(label)));
-                }
-                if let Some(ttl) = ttl {
-                    f.push(("ttl".into(), JsonValue::num(*ttl as f64)));
-                }
+                push_alloc_options(&mut f, *criterion, *fallback, label, *ttl);
                 f
             }
             Request::Renew { tenant, lease } => vec![
@@ -292,15 +340,8 @@ impl Request {
                     ("origin".into(), JsonValue::num(*origin as f64)),
                     ("tenant".into(), JsonValue::str(tenant)),
                     ("size".into(), JsonValue::num(*size as f64)),
-                    ("criterion".into(), JsonValue::str(criterion_name(*criterion))),
-                    ("fallback".into(), JsonValue::str(fallback_name(*fallback))),
                 ];
-                if let Some(label) = label {
-                    f.push(("label".into(), JsonValue::str(label)));
-                }
-                if let Some(ttl) = ttl {
-                    f.push(("ttl".into(), JsonValue::num(*ttl as f64)));
-                }
+                push_alloc_options(&mut f, *criterion, *fallback, label, *ttl);
                 f
             }
             Request::Digest => vec![("op".into(), JsonValue::str("digest"))],
@@ -355,27 +396,7 @@ impl Request {
             }
             "alloc" => {
                 let size = v.get("size").and_then(|s| s.u64()).map_err(|e| bad(e.to_string()))?;
-                let criterion = match v.get("criterion") {
-                    Ok(c) => {
-                        let name = c.string().map_err(|e| bad(e.to_string()))?;
-                        criterion_from_name(&name)
-                            .ok_or_else(|| bad(format!("unknown criterion {name:?}")))?
-                    }
-                    Err(_) => attr::CAPACITY,
-                };
-                let fallback = match v.get("fallback") {
-                    Ok(fb) => {
-                        let name = fb.string().map_err(|e| bad(e.to_string()))?;
-                        fallback_from_name(&name)
-                            .ok_or_else(|| bad(format!("unknown fallback {name:?}")))?
-                    }
-                    Err(_) => Fallback::NextTarget,
-                };
-                let label = v.get("label").and_then(|l| l.string()).ok();
-                let ttl = match v.get("ttl") {
-                    Ok(t) => Some(t.u64().map_err(|e| bad(e.to_string()))?),
-                    Err(_) => None,
-                };
+                let (criterion, fallback, label, ttl) = parse_alloc_options(&v)?;
                 Ok(Request::Alloc { tenant: tenant(&v)?, size, criterion, fallback, label, ttl })
             }
             "renew" => {
@@ -389,30 +410,9 @@ impl Request {
             }
             "stats" => Ok(Request::Stats),
             "forward" => {
-                let origin =
-                    v.get("origin").and_then(|o| o.u64()).map_err(|e| bad(e.to_string()))? as u32;
+                let origin = as_u32(&v.get("origin").map_err(|e| bad(e.to_string()))?)?;
                 let size = v.get("size").and_then(|s| s.u64()).map_err(|e| bad(e.to_string()))?;
-                let criterion = match v.get("criterion") {
-                    Ok(c) => {
-                        let name = c.string().map_err(|e| bad(e.to_string()))?;
-                        criterion_from_name(&name)
-                            .ok_or_else(|| bad(format!("unknown criterion {name:?}")))?
-                    }
-                    Err(_) => attr::CAPACITY,
-                };
-                let fallback = match v.get("fallback") {
-                    Ok(fb) => {
-                        let name = fb.string().map_err(|e| bad(e.to_string()))?;
-                        fallback_from_name(&name)
-                            .ok_or_else(|| bad(format!("unknown fallback {name:?}")))?
-                    }
-                    Err(_) => Fallback::NextTarget,
-                };
-                let label = v.get("label").and_then(|l| l.string()).ok();
-                let ttl = match v.get("ttl") {
-                    Ok(t) => Some(t.u64().map_err(|e| bad(e.to_string()))?),
-                    Err(_) => None,
-                };
+                let (criterion, fallback, label, ttl) = parse_alloc_options(&v)?;
                 Ok(Request::Forward {
                     origin,
                     tenant: tenant(&v)?,
@@ -679,9 +679,9 @@ impl Response {
                     if pair.len() != 2 {
                         return Err(bad("placement entries are [node, bytes] pairs".into()));
                     }
-                    let node = pair[0].u64().map_err(|e| bad(e.to_string()))?;
+                    let node = as_u32(&pair[0])?;
                     let bytes = pair[1].u64().map_err(|e| bad(e.to_string()))?;
-                    Ok((NodeId(node as u32), bytes))
+                    Ok((NodeId(node), bytes))
                 })
                 .collect::<Result<Vec<_>, _>>()?;
             let fast_bytes =
@@ -699,12 +699,11 @@ impl Response {
         if let Ok(renewed) = v.get("renewed").and_then(|r| r.u64()) {
             return Ok(Response::HeartbeatAck { renewed });
         }
-        if let Ok(tenant_id) = v.get("tenant_id").and_then(|t| t.u64()) {
-            return Ok(Response::Registered { tenant_id: tenant_id as u32 });
+        if let Ok(tenant_id) = v.get("tenant_id") {
+            return Ok(Response::Registered { tenant_id: as_u32(&tenant_id)? });
         }
         if let Ok(tiers) = v.get("tiers") {
-            let broker =
-                v.get("broker").and_then(|b| b.u64()).map_err(|e| bad(e.to_string()))? as u32;
+            let broker = as_u32(&v.get("broker").map_err(|e| bad(e.to_string()))?)?;
             let epoch = v.get("epoch").and_then(|e| e.u64()).map_err(|e| bad(e.to_string()))?;
             let tiers = tiers
                 .array()
@@ -751,10 +750,7 @@ impl Response {
                         .and_then(|p| p.string())
                         .map_err(|e| bad(e.to_string()))?;
                     Ok(crate::TenantStats {
-                        id: crate::TenantId(
-                            t.get("id").and_then(|i| i.u64()).map_err(|e| bad(e.to_string()))?
-                                as u32,
-                        ),
+                        id: crate::TenantId(as_u32(&t.get("id").map_err(|e| bad(e.to_string()))?)?),
                         name: t
                             .get("name")
                             .and_then(|n| n.string())
@@ -789,13 +785,16 @@ impl Response {
                         return Err(bad("node entries are [node, used, total] triples".into()));
                     }
                     Ok((
-                        NodeId(triple[0].u64().map_err(|e| bad(e.to_string()))? as u32),
+                        NodeId(as_u32(&triple[0])?),
                         triple[1].u64().map_err(|e| bad(e.to_string()))?,
                         triple[2].u64().map_err(|e| bad(e.to_string()))?,
                     ))
                 })
                 .collect::<Result<Vec<_>, _>>()?;
-            let shards = v.get("shards").and_then(|s| s.u64()).map(|s| s as u32).unwrap_or(1);
+            let shards = match v.get("shards") {
+                Ok(s) => as_u32(&s)?,
+                Err(_) => 1,
+            };
             // Absent `guided` field (an unguided or older broker)
             // parses as guidance off.
             let guided = match v.get("guided") {
@@ -1027,6 +1026,8 @@ mod tests {
             r#"{"op":"alloc","tenant":"t","size":4096,"criterion":"speed"}"#,
             r#"{"op":"register","tenant":"t","quota":[["fast",1]]}"#,
             r#"{"op":"free","tenant":"t"}"#,
+            r#"{"op":"forward","origin":4294967296,"tenant":"t","size":4096}"#,
+            r#"{"op":"alloc","tenant":"t","size":4096,"label":5}"#,
         ] {
             assert!(matches!(Request::from_json(line), Err(ServiceError::Wire(_))), "{line}");
         }
