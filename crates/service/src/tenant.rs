@@ -1,6 +1,9 @@
 //! The tenant model: who is asking for memory and what they are
 //! entitled to.
 
+use hetmem_telemetry::json::JsonValue;
+use hetmem_telemetry::schema::{JsonCodec, Named, Vocab};
+use hetmem_telemetry::ParseError;
 use hetmem_topology::MemoryKind;
 use std::collections::BTreeMap;
 
@@ -11,6 +14,16 @@ pub struct TenantId(pub u32);
 impl std::fmt::Display for TenantId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "tenant#{}", self.0)
+    }
+}
+
+/// A tenant id is its number in JSON.
+impl JsonCodec for TenantId {
+    fn to_json(&self) -> Option<JsonValue> {
+        self.0.to_json()
+    }
+    fn from_json(v: Option<&JsonValue>) -> Result<TenantId, ParseError> {
+        u32::from_json(v).map(TenantId)
     }
 }
 
@@ -42,22 +55,26 @@ impl Priority {
 
     /// Stable lowercase name (wire format and DSL spelling).
     pub fn as_str(self) -> &'static str {
-        match self {
-            Priority::Latency => "latency",
-            Priority::Normal => "normal",
-            Priority::Batch => "batch",
-        }
+        Priority::VOCAB.name(self).expect("every priority has a name")
     }
 
-    /// Parses the wire/DSL spelling produced by [`Priority::as_str`].
+    /// Parses the wire/DSL spelling produced by [`Priority::as_str`];
+    /// unlike memory kinds, criteria and fallbacks, case matters.
     pub fn from_str_opt(s: &str) -> Option<Priority> {
-        match s {
-            "latency" => Some(Priority::Latency),
-            "normal" => Some(Priority::Normal),
-            "batch" => Some(Priority::Batch),
-            _ => None,
-        }
+        Priority::VOCAB.value(s)
     }
+}
+
+impl Named for Priority {
+    const VOCAB: Vocab<Priority> = Vocab {
+        what: "priority",
+        fold_case: false,
+        names: &[
+            (Priority::Latency, "latency"),
+            (Priority::Normal, "normal"),
+            (Priority::Batch, "batch"),
+        ],
+    };
 }
 
 /// Registration request for one tenant, built fluently like
@@ -165,24 +182,26 @@ pub(crate) struct TenantState {
     pub(crate) stalls: u64,
 }
 
-/// Public snapshot of one tenant's standing, returned by
-/// [`crate::Broker::tenants`] and the wire `stats` op.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TenantStats {
-    /// Tenant id.
-    pub id: TenantId,
-    /// Tenant name.
-    pub name: String,
-    /// Priority class.
-    pub priority: Priority,
-    /// Live bytes held per tier.
-    pub held: BTreeMap<MemoryKind, u64>,
-    /// Admissions granted so far.
-    pub admits: u64,
-    /// Quota clamps suffered so far.
-    pub clamps: u64,
-    /// Contention stalls charged so far.
-    pub stalls: u64,
+hetmem_telemetry::json_record! {
+    /// Public snapshot of one tenant's standing, returned by
+    /// [`crate::Broker::tenants`] and the wire `stats` op.
+    #[derive(Eq)]
+    pub struct TenantStats {
+        /// Tenant id.
+        id: TenantId,
+        /// Tenant name.
+        name: String,
+        /// Priority class.
+        priority: Priority,
+        /// Live bytes held per tier.
+        held: BTreeMap<MemoryKind, u64>,
+        /// Admissions granted so far.
+        admits: u64,
+        /// Quota clamps suffered so far.
+        clamps: u64,
+        /// Contention stalls charged so far.
+        stalls: u64,
+    }
 }
 
 #[cfg(test)]

@@ -24,12 +24,13 @@
 //! {"ok":0,"code":"admission","error":"admission denied: ..."}
 //! ```
 //!
-//! Criterion, fallback and memory-kind spellings match the scenario
-//! DSL (`bandwidth`, `spill`, `hbm`, ...), so the same vocabulary
-//! works in scripts and over the socket. The full specification —
-//! every frame, every field, every error code — lives in
-//! `docs/PROTOCOL.md` and is enforced by a coverage test over
-//! [`REQUEST_OPS`], [`RESPONSE_KINDS`] and
+//! Every frame is declared once, in the `frames!` table below, on the
+//! field codecs of [`hetmem_telemetry::schema`]. Criterion, fallback
+//! and memory-kind spellings match the scenario DSL (`bandwidth`,
+//! `spill`, `hbm`, ...), so the same vocabulary works in scripts and
+//! over the socket. The full specification — every frame, every field,
+//! every error code — lives in `docs/PROTOCOL.md` and is enforced by a
+//! coverage test over [`REQUEST_OPS`], [`RESPONSE_KINDS`] and
 //! [`hetmem_telemetry::EVENT_KINDS`].
 
 use crate::tenant::{Priority, TenantStats};
@@ -37,243 +38,400 @@ use crate::ServiceError;
 use hetmem_alloc::Fallback;
 use hetmem_core::{attr, AttrId};
 use hetmem_telemetry::json::{parse, JsonValue};
+use hetmem_telemetry::schema::{field, omit_none, JsonCodec, Named, Vocab};
+use hetmem_telemetry::{json_field, ParseError};
 use hetmem_topology::{MemoryKind, NodeId};
 
-/// Wire spelling of an attribute criterion (DSL vocabulary).
+/// Ranking criteria by their DSL names, which ignore case.
+const CRITERIA: Vocab<AttrId> = Vocab {
+    what: "criterion",
+    fold_case: true,
+    names: &[
+        (attr::BANDWIDTH, "bandwidth"),
+        (attr::LATENCY, "latency"),
+        (attr::CAPACITY, "capacity"),
+        (attr::LOCALITY, "locality"),
+        (attr::READ_BANDWIDTH, "readbandwidth"),
+        (attr::WRITE_BANDWIDTH, "writebandwidth"),
+        (attr::READ_LATENCY, "readlatency"),
+        (attr::WRITE_LATENCY, "writelatency"),
+    ],
+};
+
+/// Fallback modes by their DSL names, which ignore case.
+const FALLBACKS: Vocab<Fallback> = Vocab {
+    what: "fallback",
+    fold_case: true,
+    names: &[
+        (Fallback::Strict, "strict"),
+        (Fallback::NextTarget, "next"),
+        (Fallback::PartialSpill, "spill"),
+    ],
+};
+
+/// Wire spelling of an attribute criterion (DSL vocabulary); an id
+/// outside the vocabulary is written `capacity`.
 pub fn criterion_name(id: AttrId) -> &'static str {
-    match id {
-        attr::BANDWIDTH => "bandwidth",
-        attr::LATENCY => "latency",
-        attr::CAPACITY => "capacity",
-        attr::LOCALITY => "locality",
-        attr::READ_BANDWIDTH => "readbandwidth",
-        attr::WRITE_BANDWIDTH => "writebandwidth",
-        attr::READ_LATENCY => "readlatency",
-        attr::WRITE_LATENCY => "writelatency",
-        _ => "capacity",
-    }
+    CRITERIA.name(id).unwrap_or("capacity")
 }
 
 /// Parses a criterion spelling ([`criterion_name`] vocabulary).
 pub fn criterion_from_name(s: &str) -> Option<AttrId> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "bandwidth" => attr::BANDWIDTH,
-        "latency" => attr::LATENCY,
-        "capacity" => attr::CAPACITY,
-        "locality" => attr::LOCALITY,
-        "readbandwidth" => attr::READ_BANDWIDTH,
-        "writebandwidth" => attr::WRITE_BANDWIDTH,
-        "readlatency" => attr::READ_LATENCY,
-        "writelatency" => attr::WRITE_LATENCY,
-        _ => return None,
-    })
+    CRITERIA.value(s)
 }
 
 /// Wire spelling of a fallback mode (DSL vocabulary).
 pub fn fallback_name(f: Fallback) -> &'static str {
-    match f {
-        Fallback::Strict => "strict",
-        Fallback::NextTarget => "next",
-        Fallback::PartialSpill => "spill",
-    }
+    FALLBACKS.name(f).expect("every fallback mode has a name")
 }
 
 /// Parses a fallback spelling ([`fallback_name`] vocabulary).
 pub fn fallback_from_name(s: &str) -> Option<Fallback> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "strict" => Fallback::Strict,
-        "next" => Fallback::NextTarget,
-        "spill" => Fallback::PartialSpill,
-        _ => return None,
-    })
+    FALLBACKS.value(s)
 }
 
 /// Wire spelling of a memory kind.
 pub fn kind_name(kind: MemoryKind) -> &'static str {
-    match kind {
-        MemoryKind::Dram => "dram",
-        MemoryKind::Hbm => "hbm",
-        MemoryKind::Nvdimm => "nvdimm",
-        MemoryKind::NetworkAttached => "nam",
-        MemoryKind::GpuMemory => "gpu",
-    }
+    MemoryKind::VOCAB.name(kind).expect("every memory kind has a name")
 }
 
-/// Parses a memory-kind spelling ([`kind_name`] vocabulary).
+/// Parses a memory-kind spelling ([`kind_name`] vocabulary, plus the
+/// aliases `mcdram` and `pmem`).
 pub fn kind_from_name(s: &str) -> Option<MemoryKind> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "dram" => MemoryKind::Dram,
-        "hbm" | "mcdram" => MemoryKind::Hbm,
-        "nvdimm" | "pmem" => MemoryKind::Nvdimm,
-        "nam" => MemoryKind::NetworkAttached,
-        "gpu" => MemoryKind::GpuMemory,
-        _ => return None,
-    })
+    MemoryKind::VOCAB.value(s)
 }
 
-/// Appends the `criterion`, `fallback`, `label` and `ttl` fields that
-/// `alloc` and `forward` frames share.
-fn push_alloc_options(
-    f: &mut Vec<(String, JsonValue)>,
-    criterion: AttrId,
-    fallback: Fallback,
-    label: &Option<String>,
-    ttl: Option<u64>,
-) {
-    f.reserve(4);
-    f.push(("criterion".into(), JsonValue::str(criterion_name(criterion))));
-    f.push(("fallback".into(), JsonValue::str(fallback_name(fallback))));
-    if let Some(label) = label {
-        f.push(("label".into(), JsonValue::str(label)));
+/// Override: a criterion by name.
+mod criterion {
+    use super::*;
+    pub fn to_json(v: &AttrId) -> Option<JsonValue> {
+        Some(JsonValue::str(criterion_name(*v)))
     }
-    if let Some(ttl) = ttl {
-        f.push(("ttl".into(), JsonValue::num(ttl as f64)));
+    pub fn from_json(v: Option<&JsonValue>) -> Result<AttrId, ParseError> {
+        CRITERIA.from_json(v)
     }
 }
 
-/// Parses the fields [`push_alloc_options`] writes: `criterion`
-/// (default capacity), `fallback` (default next), and the optional
-/// `label` and `ttl`. A present field of the wrong type is an error.
-fn parse_alloc_options(
-    v: &JsonValue,
-) -> Result<(AttrId, Fallback, Option<String>, Option<u64>), ServiceError> {
-    let bad = |e: hetmem_telemetry::ParseError| ServiceError::Wire(e.to_string());
-    let criterion = match v.get("criterion") {
-        Ok(c) => {
-            let name = c.string().map_err(bad)?;
-            criterion_from_name(&name)
-                .ok_or_else(|| ServiceError::Wire(format!("unknown criterion {name:?}")))?
+/// Override: a fallback mode by name.
+mod fallback {
+    use super::*;
+    pub fn to_json(v: &Fallback) -> Option<JsonValue> {
+        FALLBACKS.to_json(*v)
+    }
+    pub fn from_json(v: Option<&JsonValue>) -> Result<Fallback, ParseError> {
+        FALLBACKS.from_json(v)
+    }
+}
+
+/// Override: digest rows, whose `degraded` flag is written `1`/`0`.
+mod tier_rows {
+    use super::*;
+    pub fn to_json(v: &[(MemoryKind, u64, bool)]) -> Option<JsonValue> {
+        v.iter()
+            .map(|&(kind, free, degraded)| (kind, free, u64::from(degraded)))
+            .collect::<Vec<_>>()
+            .to_json()
+    }
+    pub fn from_json(v: Option<&JsonValue>) -> Result<Vec<(MemoryKind, u64, bool)>, ParseError> {
+        let rows = Vec::<(MemoryKind, u64, u64)>::from_json(v)?;
+        Ok(rows.into_iter().map(|(kind, free, degraded)| (kind, free, degraded != 0)).collect())
+    }
+}
+
+fn wire(e: ParseError) -> ServiceError {
+    ServiceError::Wire(e.to_string())
+}
+
+/// The `op` a request frame names.
+fn request_op(v: &JsonValue) -> Result<String, ServiceError> {
+    field(v, "op", String::from_json, None).map_err(wire)
+}
+
+/// How a response kind is told apart on the wire.
+struct Shape {
+    kind: &'static str,
+    /// The `ok` value its frames carry.
+    ok: u8,
+    /// The key only its frames carry; `None` for the bare frame of its
+    /// `ok` class.
+    key: Option<&'static str>,
+}
+
+/// The kind a response frame decodes as: among the kinds of its `ok`
+/// class, the one whose discriminating key it carries, else the one
+/// without a key. A frame carrying two discriminating keys is
+/// malformed.
+fn response_kind(v: &JsonValue) -> Result<&'static str, ServiceError> {
+    let ok = field(v, "ok", u64::from_json, None).map_err(wire)?;
+    let class = RESPONSE_SHAPES.iter().filter(|s| (s.ok == 0) == (ok == 0));
+    let carries = |s: &&Shape| s.key.is_some_and(|k| matches!(v.lookup(k), Ok(Some(_))));
+    let mut keyed = class.clone().filter(carries);
+    match (keyed.next(), keyed.next()) {
+        (Some(s), None) => Ok(s.kind),
+        (Some(a), Some(b)) => Err(ServiceError::Wire(format!(
+            "response carries the keys of both {:?} and {:?}",
+            a.kind, b.kind
+        ))),
+        (None, _) => {
+            Ok(class.clone().find(|s| s.key.is_none()).expect("a bare kind per ok class").kind)
         }
-        Err(_) => attr::CAPACITY,
-    };
-    let fallback = match v.get("fallback") {
-        Ok(fb) => {
-            let name = fb.string().map_err(bad)?;
-            fallback_from_name(&name)
-                .ok_or_else(|| ServiceError::Wire(format!("unknown fallback {name:?}")))?
+    }
+}
+
+/// Declares the frame table. A request is its [`Request`] variant and
+/// `op` string; a response is its [`Response`] variant, kind name, `ok`
+/// value and the key only its frames carry. Each is followed by its
+/// fields in key order, in the field grammar of
+/// [`hetmem_telemetry::json_record!`] less renames. Generates both
+/// enums, [`REQUEST_OPS`], [`RESPONSE_KINDS`], `op()`, `kind()` and
+/// both JSON directions.
+macro_rules! frames {
+    (
+        $(#[$qmeta:meta])*
+        pub enum Request {$(
+            $(#[$qvmeta:meta])* $qvariant:ident($op:literal) $({ $($qbody:tt)* })?,
+        )*}
+        $(#[$rmeta:meta])*
+        pub enum Response {$(
+            $(#[$rvmeta:meta])*
+            $rvariant:ident($kind:literal, ok: $ok:literal $(, key: $key:literal)?)
+            $({ $($rbody:tt)* })?,
+        )*}
+    ) => {
+        frames! {
+            @enum $(#[$qmeta])* Request, request_op, "op",
+            /// The `op` field value this variant encodes to — one of
+            /// [`REQUEST_OPS`].
+            ///
+            /// ```
+            /// use hetmem_service::wire::{Request, REQUEST_OPS};
+            /// let req = Request::Heartbeat { tenant: "stream".into() };
+            /// assert_eq!(req.op(), "heartbeat");
+            /// assert!(REQUEST_OPS.contains(&req.op()));
+            /// ```
+            op;
+            $($(#[$qvmeta])* $qvariant($op, "op": JsonValue::str($op)) $({ $($qbody)* })?,)*
         }
-        Err(_) => Fallback::NextTarget,
+        frames! {
+            @enum $(#[$rmeta])* Response, response_kind, "response kind",
+            /// The stable name of this variant — one of [`RESPONSE_KINDS`].
+            kind;
+            $($(#[$rvmeta])* $rvariant($kind, "ok": JsonValue::num(f64::from($ok)))
+              $({ $($rbody)* })?,)*
+        }
+
+        /// The `op` field value of every [`Request`] variant, in
+        /// declaration order. `docs/PROTOCOL.md` coverage tests
+        /// enumerate this list.
+        pub const REQUEST_OPS: &[&str] = &[$($op),*];
+
+        /// A stable name per [`Response`] variant (responses are
+        /// discriminated by field shape on the wire, not by a tag; these
+        /// names exist for the spec and its coverage test).
+        pub const RESPONSE_KINDS: &[&str] = &[$($kind),*];
+
+        /// The wire shape of every [`Response`] variant.
+        const RESPONSE_SHAPES: &[Shape] =
+            &[$(Shape { kind: $kind, ok: $ok, key: [$(Some($key),)? None][0] }),*];
     };
-    let label = v.get("label").ok().map(|l| l.string().map_err(bad)).transpose()?;
-    let ttl = v.get("ttl").ok().map(|t| t.u64().map_err(bad)).transpose()?;
-    Ok((criterion, fallback, label, ttl))
+    // One enum: each entry is its variant, its wire name and the key and
+    // value written first; `$name_of` reads the wire name off a frame.
+    (
+        @enum $(#[$meta:meta])* $enum:ident, $name_of:ident, $what:literal,
+        $(#[$name_meta:meta])* $name_fn:ident;
+        $($(#[$vmeta:meta])* $variant:ident($name:literal, $tag:literal: $tag_value:expr) $({$(
+            $(#[$fmeta:meta])* $field:ident : $ty:ty $(as $with:ident)? $(= $default:expr)?,
+        )*})?,)*
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum $enum {
+            $($(#[$vmeta])* $variant $({ $($(#[$fmeta])* $field: $ty,)* })?,)*
+        }
+
+        impl $enum {
+            $(#[$name_meta])*
+            pub fn $name_fn(&self) -> &'static str {
+                match self {
+                    $($enum::$variant { .. } => $name,)*
+                }
+            }
+
+            /// Renders the frame as one JSON line (no trailing newline).
+            pub fn to_json(&self) -> String {
+                let mut fields = Vec::with_capacity(8);
+                match self {
+                    $($enum::$variant $({ $($field),* })? => {
+                        fields.push(($tag.to_string(), $tag_value));
+                        $($(json_field!(
+                            put fields, $field; $field: $ty $(as $with)? $(= $default)?
+                        );)*)?
+                    })*
+                }
+                JsonValue::Object(fields).render()
+            }
+
+            /// Parses one frame line.
+            pub fn from_json(line: &str) -> Result<$enum, ServiceError> {
+                let v = parse(line).map_err(wire)?;
+                match &*$name_of(&v)? {
+                    $($name => Ok($enum::$variant $({$(
+                        $field: json_field!(
+                            take &v; $field: $ty $(as $with)? $(= $default)?
+                        ).map_err(wire)?,
+                    )*})?),)*
+                    other => Err(ServiceError::Wire(format!("unknown {} {other:?}", $what))),
+                }
+            }
+        }
+    };
 }
 
-/// A JSON number that must fit in a `u32` (ids and node numbers);
-/// larger values are rejected, not truncated.
-fn as_u32(v: &JsonValue) -> Result<u32, ServiceError> {
-    let n = v.u64().map_err(|e| ServiceError::Wire(e.to_string()))?;
-    u32::try_from(n).map_err(|_| ServiceError::Wire(format!("{n} overflows u32")))
+// The frame table. A request entry is its variant and `op` string; a
+// response entry is its variant, kind name, `ok` value and the key
+// only its frames carry. Fields follow in JSON key order; `as` names
+// an override module and `= value` is what an absent key reads as.
+frames! {
+    /// One client request.
+    pub enum Request {
+        /// Register a tenant.
+        Register("register") {
+            /// Tenant name (must be unique per broker).
+            tenant: String,
+            /// Priority class.
+            priority: Priority = Priority::Normal,
+            /// Per-tier hard caps.
+            quota: Vec<(MemoryKind, u64)> = Vec::new(),
+            /// Per-tier guaranteed floors.
+            reserve: Vec<(MemoryKind, u64)> = Vec::new(),
+        },
+        /// Request an allocation lease.
+        Alloc("alloc") {
+            /// Owning tenant name.
+            tenant: String,
+            /// Bytes requested.
+            size: u64,
+            /// Ranking criterion.
+            criterion: AttrId as criterion = attr::CAPACITY,
+            /// Fallback mode when the best target cannot take it all.
+            fallback: Fallback as fallback = Fallback::NextTarget,
+            /// Optional buffer label (shows up in telemetry).
+            label: Option<String> as omit_none,
+            /// Optional TTL override in service epochs; `None` uses the
+            /// tenant's default (which may itself be "no TTL").
+            ttl: Option<u64> as omit_none,
+        },
+        /// Reset the TTL clock of one lease.
+        Renew("renew") {
+            /// Owning tenant name.
+            tenant: String,
+            /// Lease id from the alloc response.
+            lease: u64,
+        },
+        /// Renew every lease the tenant holds (the keepalive).
+        Heartbeat("heartbeat") {
+            /// Tenant name.
+            tenant: String,
+        },
+        /// Return a lease.
+        Free("free") {
+            /// Owning tenant name.
+            tenant: String,
+            /// Lease id from the alloc response.
+            lease: u64,
+        },
+        /// Snapshot broker state.
+        Stats("stats"),
+        /// A federation spill: a peer broker forwards the residual of a
+        /// shortfalling placement here. The tenant must be registered on
+        /// the receiving broker too (federations mirror registrations).
+        Forward("forward") {
+            /// Broker id of the forwarding peer.
+            origin: u32,
+            /// Owning tenant name.
+            tenant: String,
+            /// Residual bytes to place locally.
+            size: u64,
+            /// Ranking criterion of the original request.
+            criterion: AttrId as criterion = attr::CAPACITY,
+            /// Fallback mode of the original request.
+            fallback: Fallback as fallback = Fallback::NextTarget,
+            /// Optional buffer label (shows up in telemetry).
+            label: Option<String> as omit_none,
+            /// Optional TTL override in service epochs.
+            ttl: Option<u64> as omit_none,
+        },
+        /// Ask the broker for its capacity digest (federation gossip).
+        Digest("digest"),
+    }
+
+    /// One server response.
+    pub enum Response {
+        /// Tenant registered.
+        Registered("registered", ok: 1, key: "tenant_id") {
+            /// The issued tenant id.
+            tenant_id: u32,
+        },
+        /// Lease granted.
+        Granted("granted", ok: 1, key: "placement") {
+            /// The issued lease id.
+            lease: u64,
+            /// Bytes granted (page-rounded).
+            size: u64,
+            /// Placement split `(node, bytes)`.
+            placement: Vec<(NodeId, u64)>,
+            /// Bytes that landed on the fast tier.
+            fast_bytes: u64,
+        },
+        /// Lease TTL clock reset.
+        Renewed("renewed", ok: 1, key: "expires_at") {
+            /// The renewed lease id.
+            lease: u64,
+            /// The new expiry epoch; `None` when the lease has no TTL.
+            expires_at: Option<u64>,
+        },
+        /// Heartbeat acknowledged.
+        HeartbeatAck("heartbeat_ack", ok: 1, key: "renewed") {
+            /// Number of leases whose TTL clock was reset.
+            renewed: u64,
+        },
+        /// Lease returned.
+        Freed("freed", ok: 1),
+        /// Broker snapshot.
+        Stats("stats", ok: 1, key: "tenants") {
+            /// Dispatch shards serving this broker (`1` = the single
+            /// dispatcher; absent frames from older brokers parse as `1`).
+            shards: u32 = 1,
+            /// Per-tenant `(name, sampling overhead ns)` when guided
+            /// service is on; `None` when it is off. An absent field
+            /// parses as off, so unguided brokers keep the old frame.
+            guided: Option<Vec<(String, f64)>> as omit_none,
+            /// Per-tenant standing.
+            tenants: Vec<TenantStats>,
+            /// Per-node `(node, used, total)` bytes.
+            nodes: Vec<(NodeId, u64, u64)>,
+        },
+        /// The broker's capacity digest (answer to a `digest` request).
+        Digest("digest", ok: 1, key: "tiers") {
+            /// Responding broker id.
+            broker: u32,
+            /// The broker's virtual epoch when the digest was taken.
+            epoch: u64,
+            /// Per-tier `(kind, free bytes, degraded)` rows, ordered by
+            /// kind.
+            tiers: Vec<(MemoryKind, u64, bool)> as tier_rows,
+        },
+        /// The request failed; the connection stays usable.
+        Error("error", ok: 0) {
+            /// Stable machine-readable code ([`crate::ERROR_CODES`]).
+            code: String = String::new(),
+            /// Human-readable reason (the [`ServiceError`] display).
+            error: String,
+        },
+    }
 }
-
-/// One client request.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Register a tenant.
-    Register {
-        /// Tenant name (must be unique per broker).
-        tenant: String,
-        /// Priority class.
-        priority: Priority,
-        /// Per-tier hard caps.
-        quota: Vec<(MemoryKind, u64)>,
-        /// Per-tier guaranteed floors.
-        reserve: Vec<(MemoryKind, u64)>,
-    },
-    /// Request an allocation lease.
-    Alloc {
-        /// Owning tenant name.
-        tenant: String,
-        /// Bytes requested.
-        size: u64,
-        /// Ranking criterion.
-        criterion: AttrId,
-        /// Fallback mode when the best target cannot take it all.
-        fallback: Fallback,
-        /// Optional buffer label (shows up in telemetry).
-        label: Option<String>,
-        /// Optional TTL override in service epochs; `None` uses the
-        /// tenant's default (which may itself be "no TTL").
-        ttl: Option<u64>,
-    },
-    /// Reset the TTL clock of one lease.
-    Renew {
-        /// Owning tenant name.
-        tenant: String,
-        /// Lease id from the alloc response.
-        lease: u64,
-    },
-    /// Renew every lease the tenant holds (the keepalive).
-    Heartbeat {
-        /// Tenant name.
-        tenant: String,
-    },
-    /// Return a lease.
-    Free {
-        /// Owning tenant name.
-        tenant: String,
-        /// Lease id from the alloc response.
-        lease: u64,
-    },
-    /// Snapshot broker state.
-    Stats,
-    /// A federation spill: a peer broker forwards the residual of a
-    /// shortfalling placement here. The tenant must be registered on
-    /// the receiving broker too (federations mirror registrations).
-    Forward {
-        /// Broker id of the forwarding peer.
-        origin: u32,
-        /// Owning tenant name.
-        tenant: String,
-        /// Residual bytes to place locally.
-        size: u64,
-        /// Ranking criterion of the original request.
-        criterion: AttrId,
-        /// Fallback mode of the original request.
-        fallback: Fallback,
-        /// Optional buffer label (shows up in telemetry).
-        label: Option<String>,
-        /// Optional TTL override in service epochs.
-        ttl: Option<u64>,
-    },
-    /// Ask the broker for its capacity digest (federation gossip).
-    Digest,
-}
-
-/// The `op` field value of every [`Request`] variant, in declaration
-/// order. `docs/PROTOCOL.md` coverage tests enumerate this list.
-pub const REQUEST_OPS: &[&str] =
-    &["register", "alloc", "renew", "heartbeat", "free", "stats", "forward", "digest"];
-
-/// A stable name per [`Response`] variant (responses are discriminated
-/// by field shape on the wire, not by a tag; these names exist for the
-/// spec and its coverage test).
-pub const RESPONSE_KINDS: &[&str] =
-    &["registered", "granted", "renewed", "heartbeat_ack", "freed", "stats", "digest", "error"];
 
 impl Request {
-    /// The `op` field value this variant encodes to — one of
-    /// [`REQUEST_OPS`].
-    ///
-    /// ```
-    /// use hetmem_service::wire::{Request, REQUEST_OPS};
-    /// let req = Request::Heartbeat { tenant: "stream".into() };
-    /// assert_eq!(req.op(), "heartbeat");
-    /// assert!(REQUEST_OPS.contains(&req.op()));
-    /// ```
-    pub fn op(&self) -> &'static str {
-        match self {
-            Request::Register { .. } => "register",
-            Request::Alloc { .. } => "alloc",
-            Request::Renew { .. } => "renew",
-            Request::Heartbeat { .. } => "heartbeat",
-            Request::Free { .. } => "free",
-            Request::Stats => "stats",
-            Request::Forward { .. } => "forward",
-            Request::Digest => "digest",
-        }
-    }
-
     /// The tenant the request acts for, when it names one.
     pub fn tenant(&self) -> Option<&str> {
         match self {
@@ -286,541 +444,12 @@ impl Request {
             Request::Stats | Request::Digest => None,
         }
     }
-
-    /// Renders the request as one JSON line (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let kinds = |pairs: &[(MemoryKind, u64)]| {
-            JsonValue::Array(
-                pairs
-                    .iter()
-                    .map(|&(k, b)| {
-                        JsonValue::Array(vec![
-                            JsonValue::str(kind_name(k)),
-                            JsonValue::num(b as f64),
-                        ])
-                    })
-                    .collect(),
-            )
-        };
-        let fields = match self {
-            Request::Register { tenant, priority, quota, reserve } => vec![
-                ("op".into(), JsonValue::str("register")),
-                ("tenant".into(), JsonValue::str(tenant)),
-                ("priority".into(), JsonValue::str(priority.as_str())),
-                ("quota".into(), kinds(quota)),
-                ("reserve".into(), kinds(reserve)),
-            ],
-            Request::Alloc { tenant, size, criterion, fallback, label, ttl } => {
-                let mut f = vec![
-                    ("op".into(), JsonValue::str("alloc")),
-                    ("tenant".into(), JsonValue::str(tenant)),
-                    ("size".into(), JsonValue::num(*size as f64)),
-                ];
-                push_alloc_options(&mut f, *criterion, *fallback, label, *ttl);
-                f
-            }
-            Request::Renew { tenant, lease } => vec![
-                ("op".into(), JsonValue::str("renew")),
-                ("tenant".into(), JsonValue::str(tenant)),
-                ("lease".into(), JsonValue::num(*lease as f64)),
-            ],
-            Request::Heartbeat { tenant } => vec![
-                ("op".into(), JsonValue::str("heartbeat")),
-                ("tenant".into(), JsonValue::str(tenant)),
-            ],
-            Request::Free { tenant, lease } => vec![
-                ("op".into(), JsonValue::str("free")),
-                ("tenant".into(), JsonValue::str(tenant)),
-                ("lease".into(), JsonValue::num(*lease as f64)),
-            ],
-            Request::Stats => vec![("op".into(), JsonValue::str("stats"))],
-            Request::Forward { origin, tenant, size, criterion, fallback, label, ttl } => {
-                let mut f = vec![
-                    ("op".into(), JsonValue::str("forward")),
-                    ("origin".into(), JsonValue::num(*origin as f64)),
-                    ("tenant".into(), JsonValue::str(tenant)),
-                    ("size".into(), JsonValue::num(*size as f64)),
-                ];
-                push_alloc_options(&mut f, *criterion, *fallback, label, *ttl);
-                f
-            }
-            Request::Digest => vec![("op".into(), JsonValue::str("digest"))],
-        };
-        JsonValue::Object(fields).render()
-    }
-
-    /// Parses one request line.
-    pub fn from_json(line: &str) -> Result<Request, ServiceError> {
-        let bad = |m: String| ServiceError::Wire(m);
-        let v = parse(line).map_err(|e| bad(e.to_string()))?;
-        let op = v.get("op").and_then(|o| o.string()).map_err(|e| bad(e.to_string()))?;
-        let tenant = |v: &JsonValue| {
-            v.get("tenant").and_then(|t| t.string()).map_err(|e| bad(e.to_string()))
-        };
-        let kinds = |v: &JsonValue, key: &str| -> Result<Vec<(MemoryKind, u64)>, ServiceError> {
-            let Ok(field) = v.get(key) else {
-                return Ok(Vec::new());
-            };
-            let items = field.array().map_err(|e| bad(e.to_string()))?;
-            items
-                .iter()
-                .map(|pair| {
-                    let pair = pair.array().map_err(|e| bad(e.to_string()))?;
-                    if pair.len() != 2 {
-                        return Err(bad(format!("{key} entries are [kind, bytes] pairs")));
-                    }
-                    let name = pair[0].string().map_err(|e| bad(e.to_string()))?;
-                    let kind = kind_from_name(&name)
-                        .ok_or_else(|| bad(format!("unknown memory kind {name:?}")))?;
-                    let bytes = pair[1].u64().map_err(|e| bad(e.to_string()))?;
-                    Ok((kind, bytes))
-                })
-                .collect()
-        };
-        match op.as_str() {
-            "register" => {
-                let priority = match v.get("priority") {
-                    Ok(p) => {
-                        let name = p.string().map_err(|e| bad(e.to_string()))?;
-                        Priority::from_str_opt(&name)
-                            .ok_or_else(|| bad(format!("unknown priority {name:?}")))?
-                    }
-                    Err(_) => Priority::default(),
-                };
-                Ok(Request::Register {
-                    tenant: tenant(&v)?,
-                    priority,
-                    quota: kinds(&v, "quota")?,
-                    reserve: kinds(&v, "reserve")?,
-                })
-            }
-            "alloc" => {
-                let size = v.get("size").and_then(|s| s.u64()).map_err(|e| bad(e.to_string()))?;
-                let (criterion, fallback, label, ttl) = parse_alloc_options(&v)?;
-                Ok(Request::Alloc { tenant: tenant(&v)?, size, criterion, fallback, label, ttl })
-            }
-            "renew" => {
-                let lease = v.get("lease").and_then(|l| l.u64()).map_err(|e| bad(e.to_string()))?;
-                Ok(Request::Renew { tenant: tenant(&v)?, lease })
-            }
-            "heartbeat" => Ok(Request::Heartbeat { tenant: tenant(&v)? }),
-            "free" => {
-                let lease = v.get("lease").and_then(|l| l.u64()).map_err(|e| bad(e.to_string()))?;
-                Ok(Request::Free { tenant: tenant(&v)?, lease })
-            }
-            "stats" => Ok(Request::Stats),
-            "forward" => {
-                let origin = as_u32(&v.get("origin").map_err(|e| bad(e.to_string()))?)?;
-                let size = v.get("size").and_then(|s| s.u64()).map_err(|e| bad(e.to_string()))?;
-                let (criterion, fallback, label, ttl) = parse_alloc_options(&v)?;
-                Ok(Request::Forward {
-                    origin,
-                    tenant: tenant(&v)?,
-                    size,
-                    criterion,
-                    fallback,
-                    label,
-                    ttl,
-                })
-            }
-            "digest" => Ok(Request::Digest),
-            other => Err(bad(format!("unknown op {other:?}"))),
-        }
-    }
-}
-
-/// One server response.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// Tenant registered.
-    Registered {
-        /// The issued tenant id.
-        tenant_id: u32,
-    },
-    /// Lease granted.
-    Granted {
-        /// The issued lease id.
-        lease: u64,
-        /// Bytes granted (page-rounded).
-        size: u64,
-        /// Placement split `(node, bytes)`.
-        placement: Vec<(NodeId, u64)>,
-        /// Bytes that landed on the fast tier.
-        fast_bytes: u64,
-    },
-    /// Lease TTL clock reset.
-    Renewed {
-        /// The renewed lease id.
-        lease: u64,
-        /// The new expiry epoch; `None` when the lease has no TTL.
-        expires_at: Option<u64>,
-    },
-    /// Heartbeat acknowledged.
-    HeartbeatAck {
-        /// Number of leases whose TTL clock was reset.
-        renewed: u64,
-    },
-    /// Lease returned.
-    Freed,
-    /// Broker snapshot.
-    Stats {
-        /// Per-tenant standing.
-        tenants: Vec<TenantStats>,
-        /// Per-node `(node, used, total)` bytes.
-        nodes: Vec<(NodeId, u64, u64)>,
-        /// Dispatch shards serving this broker (`1` = the single
-        /// dispatcher; absent frames from older brokers parse as `1`).
-        shards: u32,
-        /// Per-tenant `(name, sampling overhead ns)` when guided
-        /// service is on; `None` when it is off. An absent field
-        /// parses as off, so unguided brokers keep the old frame.
-        guided: Option<Vec<(String, f64)>>,
-    },
-    /// The broker's capacity digest (answer to a `digest` request).
-    Digest {
-        /// Responding broker id.
-        broker: u32,
-        /// The broker's virtual epoch when the digest was taken.
-        epoch: u64,
-        /// Per-tier `(kind, free bytes, degraded)` rows, ordered by
-        /// kind.
-        tiers: Vec<(MemoryKind, u64, bool)>,
-    },
-    /// The request failed; the connection stays usable.
-    Error {
-        /// Stable machine-readable code ([`crate::ERROR_CODES`]).
-        code: String,
-        /// Human-readable reason (the [`ServiceError`] display).
-        error: String,
-    },
 }
 
 impl Response {
-    /// The stable name of this variant — one of [`RESPONSE_KINDS`].
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Response::Registered { .. } => "registered",
-            Response::Granted { .. } => "granted",
-            Response::Renewed { .. } => "renewed",
-            Response::HeartbeatAck { .. } => "heartbeat_ack",
-            Response::Freed => "freed",
-            Response::Stats { .. } => "stats",
-            Response::Digest { .. } => "digest",
-            Response::Error { .. } => "error",
-        }
-    }
-
     /// An error response carrying `e`'s stable code and display text.
     pub fn from_error(e: &ServiceError) -> Response {
         Response::Error { code: e.code().to_string(), error: e.to_string() }
-    }
-
-    /// Renders the response as one JSON line (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let fields = match self {
-            Response::Registered { tenant_id } => vec![
-                ("ok".into(), JsonValue::num(1.0)),
-                ("tenant_id".into(), JsonValue::num(*tenant_id as f64)),
-            ],
-            Response::Granted { lease, size, placement, fast_bytes } => vec![
-                ("ok".into(), JsonValue::num(1.0)),
-                ("lease".into(), JsonValue::num(*lease as f64)),
-                ("size".into(), JsonValue::num(*size as f64)),
-                (
-                    "placement".into(),
-                    JsonValue::Array(
-                        placement
-                            .iter()
-                            .map(|&(n, b)| {
-                                JsonValue::Array(vec![
-                                    JsonValue::num(n.0 as f64),
-                                    JsonValue::num(b as f64),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("fast_bytes".into(), JsonValue::num(*fast_bytes as f64)),
-            ],
-            Response::Renewed { lease, expires_at } => vec![
-                ("ok".into(), JsonValue::num(1.0)),
-                ("lease".into(), JsonValue::num(*lease as f64)),
-                (
-                    "expires_at".into(),
-                    match expires_at {
-                        Some(e) => JsonValue::num(*e as f64),
-                        None => JsonValue::Null,
-                    },
-                ),
-            ],
-            Response::HeartbeatAck { renewed } => vec![
-                ("ok".into(), JsonValue::num(1.0)),
-                ("renewed".into(), JsonValue::num(*renewed as f64)),
-            ],
-            Response::Freed => vec![("ok".into(), JsonValue::num(1.0))],
-            Response::Stats { tenants, nodes, shards, guided } => {
-                let mut fields = vec![
-                    ("ok".into(), JsonValue::num(1.0)),
-                    ("shards".into(), JsonValue::num(*shards as f64)),
-                ];
-                if let Some(guided) = guided {
-                    fields.push((
-                        "guided".into(),
-                        JsonValue::Array(
-                            guided
-                                .iter()
-                                .map(|(name, overhead_ns)| {
-                                    JsonValue::Array(vec![
-                                        JsonValue::str(name),
-                                        JsonValue::num(*overhead_ns),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ));
-                }
-                fields.push((
-                    "tenants".into(),
-                    JsonValue::Array(
-                        tenants
-                            .iter()
-                            .map(|t| {
-                                JsonValue::Object(vec![
-                                    ("id".into(), JsonValue::num(t.id.0 as f64)),
-                                    ("name".into(), JsonValue::str(&t.name)),
-                                    ("priority".into(), JsonValue::str(t.priority.as_str())),
-                                    (
-                                        "held".into(),
-                                        JsonValue::Array(
-                                            t.held
-                                                .iter()
-                                                .map(|(&k, &b)| {
-                                                    JsonValue::Array(vec![
-                                                        JsonValue::str(kind_name(k)),
-                                                        JsonValue::num(b as f64),
-                                                    ])
-                                                })
-                                                .collect(),
-                                        ),
-                                    ),
-                                    ("admits".into(), JsonValue::num(t.admits as f64)),
-                                    ("clamps".into(), JsonValue::num(t.clamps as f64)),
-                                    ("stalls".into(), JsonValue::num(t.stalls as f64)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-                fields.push((
-                    "nodes".into(),
-                    JsonValue::Array(
-                        nodes
-                            .iter()
-                            .map(|&(n, used, total)| {
-                                JsonValue::Array(vec![
-                                    JsonValue::num(n.0 as f64),
-                                    JsonValue::num(used as f64),
-                                    JsonValue::num(total as f64),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-                fields
-            }
-            Response::Digest { broker, epoch, tiers } => vec![
-                ("ok".into(), JsonValue::num(1.0)),
-                ("broker".into(), JsonValue::num(*broker as f64)),
-                ("epoch".into(), JsonValue::num(*epoch as f64)),
-                (
-                    "tiers".into(),
-                    JsonValue::Array(
-                        tiers
-                            .iter()
-                            .map(|&(k, free, degraded)| {
-                                JsonValue::Array(vec![
-                                    JsonValue::str(kind_name(k)),
-                                    JsonValue::num(free as f64),
-                                    JsonValue::num(if degraded { 1.0 } else { 0.0 }),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ],
-            Response::Error { code, error } => vec![
-                ("ok".into(), JsonValue::num(0.0)),
-                ("code".into(), JsonValue::str(code)),
-                ("error".into(), JsonValue::str(error)),
-            ],
-        };
-        JsonValue::Object(fields).render()
-    }
-
-    /// Parses one response line.
-    pub fn from_json(line: &str) -> Result<Response, ServiceError> {
-        let bad = |m: String| ServiceError::Wire(m);
-        let v = parse(line).map_err(|e| bad(e.to_string()))?;
-        let ok = v.get("ok").and_then(|o| o.u64()).map_err(|e| bad(e.to_string()))?;
-        if ok == 0 {
-            let error = v.get("error").and_then(|e| e.string()).map_err(|e| bad(e.to_string()))?;
-            let code = v.get("code").and_then(|c| c.string()).unwrap_or_default();
-            return Ok(Response::Error { code, error });
-        }
-        if let Ok(placement) = v.get("placement") {
-            let lease = v.get("lease").and_then(|l| l.u64()).map_err(|e| bad(e.to_string()))?;
-            let size = v.get("size").and_then(|s| s.u64()).map_err(|e| bad(e.to_string()))?;
-            let placement = placement
-                .array()
-                .map_err(|e| bad(e.to_string()))?
-                .iter()
-                .map(|pair| {
-                    let pair = pair.array().map_err(|e| bad(e.to_string()))?;
-                    if pair.len() != 2 {
-                        return Err(bad("placement entries are [node, bytes] pairs".into()));
-                    }
-                    let node = as_u32(&pair[0])?;
-                    let bytes = pair[1].u64().map_err(|e| bad(e.to_string()))?;
-                    Ok((NodeId(node), bytes))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let fast_bytes =
-                v.get("fast_bytes").and_then(|b| b.u64()).map_err(|e| bad(e.to_string()))?;
-            return Ok(Response::Granted { lease, size, placement, fast_bytes });
-        }
-        if let Ok(expiry) = v.get("expires_at") {
-            let lease = v.get("lease").and_then(|l| l.u64()).map_err(|e| bad(e.to_string()))?;
-            let expires_at = match expiry {
-                JsonValue::Null => None,
-                other => Some(other.u64().map_err(|e| bad(e.to_string()))?),
-            };
-            return Ok(Response::Renewed { lease, expires_at });
-        }
-        if let Ok(renewed) = v.get("renewed").and_then(|r| r.u64()) {
-            return Ok(Response::HeartbeatAck { renewed });
-        }
-        if let Ok(tenant_id) = v.get("tenant_id") {
-            return Ok(Response::Registered { tenant_id: as_u32(&tenant_id)? });
-        }
-        if let Ok(tiers) = v.get("tiers") {
-            let broker = as_u32(&v.get("broker").map_err(|e| bad(e.to_string()))?)?;
-            let epoch = v.get("epoch").and_then(|e| e.u64()).map_err(|e| bad(e.to_string()))?;
-            let tiers = tiers
-                .array()
-                .map_err(|e| bad(e.to_string()))?
-                .iter()
-                .map(|row| {
-                    let row = row.array().map_err(|e| bad(e.to_string()))?;
-                    if row.len() != 3 {
-                        return Err(bad("tier entries are [kind, free, degraded] rows".into()));
-                    }
-                    let name = row[0].string().map_err(|e| bad(e.to_string()))?;
-                    let kind = kind_from_name(&name)
-                        .ok_or_else(|| bad(format!("unknown kind {name:?}")))?;
-                    let free = row[1].u64().map_err(|e| bad(e.to_string()))?;
-                    let degraded = row[2].u64().map_err(|e| bad(e.to_string()))? != 0;
-                    Ok((kind, free, degraded))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            return Ok(Response::Digest { broker, epoch, tiers });
-        }
-        if let Ok(tenants) = v.get("tenants") {
-            let tenants = tenants
-                .array()
-                .map_err(|e| bad(e.to_string()))?
-                .iter()
-                .map(|t| {
-                    let held = t
-                        .get("held")
-                        .map_err(|e| bad(e.to_string()))?
-                        .array()
-                        .map_err(|e| bad(e.to_string()))?
-                        .iter()
-                        .map(|pair| {
-                            let pair = pair.array().map_err(|e| bad(e.to_string()))?;
-                            let name = pair[0].string().map_err(|e| bad(e.to_string()))?;
-                            let kind = kind_from_name(&name)
-                                .ok_or_else(|| bad(format!("unknown kind {name:?}")))?;
-                            let bytes = pair[1].u64().map_err(|e| bad(e.to_string()))?;
-                            Ok((kind, bytes))
-                        })
-                        .collect::<Result<_, ServiceError>>()?;
-                    let priority_name = t
-                        .get("priority")
-                        .and_then(|p| p.string())
-                        .map_err(|e| bad(e.to_string()))?;
-                    Ok(crate::TenantStats {
-                        id: crate::TenantId(as_u32(&t.get("id").map_err(|e| bad(e.to_string()))?)?),
-                        name: t
-                            .get("name")
-                            .and_then(|n| n.string())
-                            .map_err(|e| bad(e.to_string()))?,
-                        priority: Priority::from_str_opt(&priority_name)
-                            .ok_or_else(|| bad(format!("unknown priority {priority_name:?}")))?,
-                        held,
-                        admits: t
-                            .get("admits")
-                            .and_then(|a| a.u64())
-                            .map_err(|e| bad(e.to_string()))?,
-                        clamps: t
-                            .get("clamps")
-                            .and_then(|c| c.u64())
-                            .map_err(|e| bad(e.to_string()))?,
-                        stalls: t
-                            .get("stalls")
-                            .and_then(|s| s.u64())
-                            .map_err(|e| bad(e.to_string()))?,
-                    })
-                })
-                .collect::<Result<Vec<_>, ServiceError>>()?;
-            let nodes = v
-                .get("nodes")
-                .map_err(|e| bad(e.to_string()))?
-                .array()
-                .map_err(|e| bad(e.to_string()))?
-                .iter()
-                .map(|triple| {
-                    let triple = triple.array().map_err(|e| bad(e.to_string()))?;
-                    if triple.len() != 3 {
-                        return Err(bad("node entries are [node, used, total] triples".into()));
-                    }
-                    Ok((
-                        NodeId(as_u32(&triple[0])?),
-                        triple[1].u64().map_err(|e| bad(e.to_string()))?,
-                        triple[2].u64().map_err(|e| bad(e.to_string()))?,
-                    ))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let shards = match v.get("shards") {
-                Ok(s) => as_u32(&s)?,
-                Err(_) => 1,
-            };
-            // Absent `guided` field (an unguided or older broker)
-            // parses as guidance off.
-            let guided = match v.get("guided") {
-                Err(_) => None,
-                Ok(entries) => Some(
-                    entries
-                        .array()
-                        .map_err(|e| bad(e.to_string()))?
-                        .iter()
-                        .map(|pair| {
-                            let pair = pair.array().map_err(|e| bad(e.to_string()))?;
-                            if pair.len() != 2 {
-                                return Err(bad(
-                                    "guided entries are [tenant, overhead_ns] pairs".into()
-                                ));
-                            }
-                            let name = pair[0].string().map_err(|e| bad(e.to_string()))?;
-                            let overhead_ns = pair[1].f64().map_err(|e| bad(e.to_string()))?;
-                            Ok((name, overhead_ns))
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                ),
-            };
-            return Ok(Response::Stats { tenants, nodes, shards, guided });
-        }
-        Ok(Response::Freed)
     }
 }
 
@@ -1034,6 +663,27 @@ mod tests {
     }
 
     #[test]
+    fn malformed_responses_are_rejected_with_wire_errors() {
+        for line in [
+            // A tenant's `held` entry that is not a [kind, bytes] pair.
+            r#"{"ok":1,"tenants":[{"id":1,"name":"a","priority":"normal","held":[[]],"admits":0,"clamps":0,"stalls":0}],"nodes":[]}"#,
+            // A discriminating key with an ill-typed value is not `freed`.
+            r#"{"ok":1,"renewed":"x"}"#,
+            r#"{"ok":1,"lease":0,"size":4096,"placement":[[4]],"fast_bytes":0}"#,
+            r#"{"ok":1,"broker":0,"epoch":0,"tiers":[["hbm",1]]}"#,
+            r#"{"ok":1,"tenants":[],"nodes":[[0,1]]}"#,
+            // Two discriminating keys name two kinds.
+            r#"{"ok":1,"tenant_id":1,"lease":0,"size":0,"placement":[],"fast_bytes":0}"#,
+            // A present optional field must still be well typed.
+            r#"{"ok":0,"code":5,"error":"x"}"#,
+            r#"{"ok":"1"}"#,
+            "[1]",
+        ] {
+            assert!(matches!(Response::from_json(line), Err(ServiceError::Wire(_))), "{line}");
+        }
+    }
+
+    #[test]
     fn vocabulary_roundtrips() {
         for id in [
             attr::BANDWIDTH,
@@ -1059,5 +709,15 @@ mod tests {
         ] {
             assert_eq!(kind_from_name(kind_name(k)), Some(k));
         }
+        // Aliases and case rules: kind, criterion and fallback ignore
+        // ASCII case; priority does not.
+        assert_eq!(kind_from_name("mcdram"), Some(MemoryKind::Hbm));
+        assert_eq!(kind_from_name("pmem"), Some(MemoryKind::Nvdimm));
+        assert_eq!(kind_from_name("HBM"), Some(MemoryKind::Hbm));
+        assert_eq!(criterion_from_name("Bandwidth"), Some(attr::BANDWIDTH));
+        assert_eq!(fallback_from_name("SPILL"), Some(Fallback::PartialSpill));
+        assert_eq!(Priority::from_str_opt("LATENCY"), None);
+        assert_eq!(kind_from_name("fast"), None);
+        assert_eq!(criterion_name(attr::FIRST_CUSTOM), "capacity");
     }
 }

@@ -62,12 +62,15 @@ impl JsonValue {
     /// Looks up `key` in an object; errors if `self` is not an object
     /// or the field is missing.
     pub fn get(&self, key: &str) -> Result<JsonValue, ParseError> {
+        let v = self.lookup(key)?;
+        v.cloned().ok_or_else(|| ParseError::new(format!("missing field {key:?}")))
+    }
+
+    /// Borrows the value of `key` in an object, `None` when the key is
+    /// absent; errors if `self` is not an object.
+    pub fn lookup(&self, key: &str) -> Result<Option<&JsonValue>, ParseError> {
         match self {
-            JsonValue::Object(fields) => fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.clone())
-                .ok_or_else(|| ParseError::new(format!("missing field {key:?}"))),
+            JsonValue::Object(fields) => Ok(fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)),
             _ => Err(ParseError::new(format!("expected object looking up {key:?}"))),
         }
     }

@@ -38,7 +38,7 @@ pub mod compact;
 pub mod json;
 mod ring;
 #[macro_use]
-mod schema;
+pub mod schema;
 mod sink;
 mod summary;
 
@@ -50,6 +50,7 @@ pub use sink::{
 pub use summary::{OccupancyStats, PhaseSample, Summary};
 
 use hetmem_topology::NodeId;
+use schema::{action, attr, omit_none};
 use std::io::Write;
 use std::sync::Mutex;
 
@@ -114,7 +115,8 @@ record! {
 // order and the compact byte order, and an entry's position is its
 // compact kind byte, so new kinds go at the end. Each field is written
 // by its type's codec; `as` names a module that overrides its JSON
-// spelling, and `field("key")` renames its JSON key (`schema.rs`).
+// spelling, `= value` is what an absent key reads as, and
+// `field("key")` renames its JSON key (`schema.rs`).
 events! {
     /// An allocation decision (success or failure).
     AllocDecision("alloc_decision")
@@ -260,7 +262,7 @@ events! {
     pub struct TenantAdmit {
         /// Id of the broker instance that granted the lease (0 for a
         /// standalone broker).
-        broker: u32 as or_zero,
+        broker: u32 = 0,
         /// Tenant name.
         tenant: String,
         /// The lease id granted.
@@ -283,7 +285,7 @@ events! {
     /// guaranteed shares of other tenants left no room.
     pub struct QuotaClamp {
         /// Id of the broker instance that refused the bytes.
-        broker: u32 as or_zero,
+        broker: u32 = 0,
         /// Tenant name.
         tenant: String,
         /// The node the bytes were refused on.
@@ -300,7 +302,7 @@ events! {
     /// tenants saturated a node in the same service epoch.
     pub struct ContentionStall {
         /// Id of the broker instance charging the stall.
-        broker: u32 as or_zero,
+        broker: u32 = 0,
         /// The tenant being slowed down.
         tenant: String,
         /// The saturated node.
@@ -319,7 +321,7 @@ events! {
     /// [`Reclaim`] event carrying the returned bytes).
     pub struct LeaseExpired {
         /// Id of the broker instance that owned the lease.
-        broker: u32 as or_zero,
+        broker: u32 = 0,
         /// Tenant name.
         tenant: String,
         /// The expired lease id.
@@ -334,7 +336,7 @@ events! {
     /// that created it dropped, or an operator/fault path pulled it.
     pub struct LeaseRevoked {
         /// Id of the broker instance that owned the lease.
-        broker: u32 as or_zero,
+        broker: u32 = 0,
         /// Tenant name.
         tenant: String,
         /// The revoked lease id.
@@ -350,7 +352,7 @@ events! {
     /// instead of hard-failing.
     pub struct TierDegraded {
         /// Id of the broker instance whose shard is affected.
-        broker: u32 as or_zero,
+        broker: u32 = 0,
         /// The tier, by wire name (`"hbm"`, `"dram"`, `"nvdimm"`, ...).
         kind: String,
         /// `true` when entering the degraded state, `false` on recovery.
@@ -379,7 +381,7 @@ events! {
     /// path — the accounting side of an expiry or revocation.
     pub struct Reclaim {
         /// Id of the broker instance that reclaimed the capacity.
-        broker: u32 as or_zero,
+        broker: u32 = 0,
         /// Tenant whose quota the bytes were charged against.
         tenant: String,
         /// The reclaimed lease id.
@@ -402,7 +404,7 @@ events! {
     pub struct SpillForwarded {
         /// Id of the peer broker that served the forwarded bytes (the
         /// emitter).
-        broker: u32 as or_zero,
+        broker: u32 = 0,
         /// Id of the tenant's home broker that forwarded the request.
         origin: u32,
         /// Tenant name.
@@ -422,7 +424,7 @@ events! {
     /// under the last-writer-wins order, so the merge was a no-op.
     pub struct DigestMerged {
         /// Id of the broker doing the merging.
-        broker: u32 as or_zero,
+        broker: u32 = 0,
         /// Id of the peer the digest describes.
         peer: u32,
         /// Epoch stamp of the incoming digest.
@@ -440,7 +442,7 @@ events! {
     /// the merge itself (one per coalesced batch).
     pub struct BatchCoalesced {
         /// Id of the emitting broker (0 standalone).
-        broker: u32 as or_zero,
+        broker: u32 = 0,
         /// Index of the shard whose queue was coalesced.
         shard: u32,
         /// Tenant whose requests were merged.
@@ -457,7 +459,7 @@ events! {
     /// shard.
     pub struct ShardSteal {
         /// Id of the emitting broker (0 standalone).
-        broker: u32 as or_zero,
+        broker: u32 = 0,
         /// Index of the idle shard that stole the work.
         thief: u32,
         /// Index of the loaded shard the work was taken from.
@@ -473,7 +475,7 @@ events! {
     /// period on a detected phase change.
     pub struct SampleRateChanged {
         /// Id of the emitting broker (0 standalone).
-        broker: u32 as or_zero,
+        broker: u32 = 0,
         /// The tenant whose sampler retuned.
         tenant: String,
         /// Period before the change (accesses per sample).
@@ -488,7 +490,7 @@ events! {
     /// fast tier at arbitration time.
     pub struct HotPromoted {
         /// Id of the emitting broker (0 standalone).
-        broker: u32 as or_zero,
+        broker: u32 = 0,
         /// The tenant owning the promoted region.
         tenant: String,
         /// The promoted region's id.
@@ -507,7 +509,7 @@ events! {
     /// executed; the remainder is deferred to a later epoch.
     pub struct BudgetExhausted {
         /// Id of the emitting broker (0 standalone).
-        broker: u32 as or_zero,
+        broker: u32 = 0,
         /// The epoch whose fold hit the cap.
         epoch: u64,
         /// Migration cost charged before the cap was hit, ns.
