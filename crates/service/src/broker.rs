@@ -16,6 +16,12 @@
 //!    `AllocPolicy::Exact`, a [`Lease`] is issued, and the per-node
 //!    ledgers are settled while the stripe locks are still held.
 //!
+//! Serial ([`Broker::acquire_with_ttl`]) and coalesced
+//! ([`Broker::acquire_batch`]) admission are built from the same
+//! private steps — `arbitrate` (stall check, ranking, stripe locks,
+//! tier policy), the planning walk, `commit` and `grant` — and differ
+//! only in planning one request or a batch total.
+//!
 //! Lock order is global and strict — tenant registry, then lease
 //! table, then node stripes in ascending node order, then the memory
 //! manager — so concurrent clients can never deadlock.
@@ -23,14 +29,15 @@
 use crate::board::TrafficBoard;
 use crate::tenant::{Priority, TenantId, TenantSpec, TenantState, TenantStats};
 use crate::ServiceError;
-use hetmem_alloc::AllocRequest;
+use hetmem_alloc::{AllocRequest, Fallback};
 use hetmem_core::{attr, MemAttrs};
 use hetmem_memsim::{
-    AccessEngine, AllocPolicy, Machine, ManagerState, MemoryManager, Phase, PhaseReport, RegionId,
+    AccessEngine, AllocError, AllocPolicy, Machine, ManagerState, MemoryManager, Phase,
+    PhaseReport, RegionId,
 };
 use hetmem_placement::{
-    normalize_initiator, PlacementEngine, PlacementError, PlanRequest, ShareMode, TierPolicy,
-    TierSnapshot,
+    normalize_initiator, ClampFact, PlacementEngine, PlacementError, PlacementPlan, PlanRequest,
+    ShareMode, TierPolicy, TierSnapshot,
 };
 use hetmem_telemetry::{
     AttrFallback, BatchCoalesced, ContentionStall, Event, LeaseExpired, LeaseRevoked, QuotaClamp,
@@ -200,6 +207,109 @@ pub struct RobustnessStats {
 struct NodeLedger {
     free: u64,
     used_by: BTreeMap<TenantId, u64>,
+}
+
+/// Locked ledger stripes, keyed (and locked) in ascending node order.
+type Stripes<'a> = BTreeMap<NodeId, MutexGuard<'a, NodeLedger>>;
+
+impl NodeLedger {
+    /// Settles the locked stripes after one of `tenant`'s regions
+    /// changed in the manager: free bytes are re-read from the manager
+    /// (page rounding happens there), the `old` placement is uncharged
+    /// and the `new` one charged. Commit (`old` empty), free (`new`
+    /// empty) and guided migration all move ledger bytes through here,
+    /// before the stripes unlock.
+    fn settle(
+        stripes: &mut Stripes<'_>,
+        mm: &MemoryManager,
+        tenant: TenantId,
+        old: &[(NodeId, u64)],
+        new: &[(NodeId, u64)],
+    ) {
+        for (node, ledger) in stripes.iter_mut() {
+            ledger.free = mm.available(*node);
+        }
+        for &(node, bytes) in old {
+            if let Some(ledger) = stripes.get_mut(&node) {
+                let used = ledger.used_by.entry(tenant).or_insert(0);
+                *used = used.saturating_sub(bytes);
+                if *used == 0 {
+                    ledger.used_by.remove(&tenant);
+                }
+            }
+        }
+        for &(node, bytes) in new {
+            if let Some(ledger) = stripes.get_mut(&node) {
+                *ledger.used_by.entry(tenant).or_insert(0) += bytes;
+            }
+        }
+    }
+}
+
+/// Everything admission settles before planning one walk: the
+/// registry snapshot the share math used, the resolved TTL, the ranked
+/// candidates, the held stripes of every candidate tier and the tier
+/// policy built from them.
+struct Arbitration<'a> {
+    registry: BTreeMap<TenantId, TenantState>,
+    ttl: Option<u64>,
+    ranked: Vec<NodeId>,
+    stripes: Stripes<'a>,
+    admission: TierPolicy,
+    /// The ranking's attribute substitution, if it made one. The
+    /// caller emits it: once per request serially, once per merge.
+    attr_fallback: Option<AttrFallback>,
+}
+
+impl Arbitration<'_> {
+    /// The planning walk: the engine walks the ranking, asks the
+    /// policy how much is admissible on each node, and honors the
+    /// fallback mode. Ledger bytes are exact (the commit path rounds),
+    /// so no page quantization here.
+    fn plan(&mut self, placer: &PlacementEngine, size: u64, fallback: Fallback) -> PlacementPlan {
+        let stripes = &self.stripes;
+        placer.plan(
+            &PlanRequest { size, mode: fallback.as_telemetry(), page_quantize: false },
+            &self.ranked,
+            |n| stripes[&n].free,
+            &mut self.admission,
+        )
+    }
+}
+
+/// Commits one request's planned chunks as a region under the held
+/// stripes — `Exact` cannot spill past what the arbiter admitted — and
+/// settles the ledgers. Returns the region and its placement.
+fn commit(
+    stripes: &mut Stripes<'_>,
+    mm: &mut MemoryManager,
+    tenant: TenantId,
+    size: u64,
+    chunks: Vec<(NodeId, u64)>,
+) -> Result<(RegionId, Vec<(NodeId, u64)>), AllocError> {
+    let region = mm.alloc(size, AllocPolicy::Exact(chunks))?;
+    let placement = mm.region(region).expect("fresh region").placement.clone();
+    NodeLedger::settle(stripes, mm, tenant, &[], &placement);
+    Ok((region, placement))
+}
+
+/// Whether two requests can share one planning walk: equal criterion,
+/// fallback, scope and initiator give the same ranking and the same
+/// walk rules. Callers add their own keys on top ([`ShardCore`] adds
+/// tenant and TTL).
+///
+/// [`ShardCore`]: crate::ShardCore
+pub(crate) fn same_walk(a: &AllocRequest, b: &AllocRequest) -> bool {
+    a.get_criterion() == b.get_criterion()
+        && a.get_fallback() == b.get_fallback()
+        && a.scope() == b.scope()
+        && a.get_initiator() == b.get_initiator()
+}
+
+/// A tenant's display name for telemetry: its registered name, or its
+/// id once it is gone from the registry.
+fn name_in(registry: &BTreeMap<TenantId, TenantState>, tenant: TenantId) -> String {
+    registry.get(&tenant).map(|t| t.name.clone()).unwrap_or_else(|| format!("{tenant}"))
 }
 
 /// One tenant's registration and lifetime counters inside a
@@ -589,13 +699,163 @@ impl Broker {
         req: &AllocRequest,
         ttl: Option<u64>,
     ) -> Result<Lease, ServiceError> {
+        let mut arb = self.arbitrate(tenant, req, ttl)?;
+        if let (true, Some(fallback)) = (self.sink.enabled(), arb.attr_fallback.take()) {
+            self.sink.emit(Event::AttrFallback(fallback));
+        }
+        let size = req.size();
+        let plan = arb.plan(&self.placer, size, req.get_fallback());
+        let name = &arb.registry[&tenant].name;
+        if !plan.is_complete() {
+            // Nothing to commit: unlock the stripes before the
+            // registry, in the global lock order.
+            drop(arb.stripes);
+            self.tally(tenant, name, 0, &plan.clamps);
+            return Err(ServiceError::Admission {
+                requested: size,
+                granted: size - plan.shortfall,
+            });
+        }
+        let mut mm = self.mm.lock().expect("mm poisoned");
+        let committed = commit(&mut arb.stripes, &mut mm, tenant, size, plan.chunks)
+            .map_err(|e| ServiceError::Commit(e.to_string()))?;
+        drop(mm);
+        drop(arb.stripes);
+        Ok(self.grant(tenant, name, arb.ttl, committed, &plan.clamps))
+    }
+
+    /// Serves a same-tenant batch of admission requests, coalescing
+    /// them into **one** ranking and planning walk when they agree on
+    /// criterion, fallback, scope and initiator (`same_walk`). The
+    /// merged grant fans back out to the individual requests in
+    /// arrival order, each committing its own region and lease, and
+    /// one [`BatchCoalesced`] event records the merge.
+    ///
+    /// Both paths run the same admission core — arbitrate (stall
+    /// check, ranking, stripe locks, tier policy), plan, commit per
+    /// request, grant per lease — so a merge differs from serial
+    /// admission only in planning the batch total in one walk.
+    ///
+    /// Coalescing is strictly an uncontended-path optimization: if the
+    /// merged plan is incomplete or clamped anywhere — the regimes
+    /// where fair-share arithmetic decides who gets what — the batch
+    /// falls back to serial [`Broker::acquire_with_ttl`] calls, so
+    /// arbitration outcomes under pressure are byte-for-byte those of
+    /// the single-dispatcher path. `shard` only labels the telemetry.
+    pub fn acquire_batch(
+        &self,
+        tenant: TenantId,
+        reqs: &[AllocRequest],
+        ttl: Option<u64>,
+        shard: u32,
+    ) -> Vec<Result<Lease, ServiceError>> {
+        if reqs.len() >= 2 && reqs.windows(2).all(|w| same_walk(&w[0], &w[1])) {
+            if let Some(results) = self.try_acquire_coalesced(tenant, reqs, ttl, shard) {
+                return results;
+            }
+        }
+        reqs.iter().map(|r| self.acquire_with_ttl(tenant, r, ttl)).collect()
+    }
+
+    /// The coalesced fast path of [`Broker::acquire_batch`]: plans the
+    /// batch total in one walk and splits the chunks back across the
+    /// requests. Returns `None` whenever the clean merge does not
+    /// apply (stall, unknown tenant, ranking error, incomplete or
+    /// clamped plan, fewer than two commits) — the caller then runs
+    /// the serial path, which owns all error reporting and contended
+    /// arbitration.
+    fn try_acquire_coalesced(
+        &self,
+        tenant: TenantId,
+        reqs: &[AllocRequest],
+        ttl: Option<u64>,
+        shard: u32,
+    ) -> Option<Vec<Result<Lease, ServiceError>>> {
+        let head = &reqs[0];
+        let mut arb = self.arbitrate(tenant, head, ttl).ok()?;
+        let sizes: Vec<u64> = reqs.iter().map(|r| r.size()).collect();
+        let plan = arb.plan(&self.placer, sizes.iter().sum(), head.get_fallback());
+        // Any shortfall or clamp means arbitration is deciding — that
+        // must run through the serial path so the outcome is exactly
+        // the single-dispatcher one.
+        if !plan.is_complete() || !plan.clamps.is_empty() {
+            return None;
+        }
+
+        // Fan the merged chunk walk back out across the requests in
+        // arrival order: request i takes the next `size_i` bytes.
+        let splits = plan.split(&sizes)?;
+
+        // Commit request by request under the stripe locks, settling
+        // the ledgers after each grant exactly like the serial path.
+        // Page rounding can exhaust a nearly-full node mid-batch; the
+        // unplaced tail then reruns serially (below), which re-plans
+        // against the settled ledgers.
+        let mut committed: Vec<(RegionId, Vec<(NodeId, u64)>)> = Vec::new();
+        {
+            let mut mm = self.mm.lock().expect("mm poisoned");
+            for (&size, chunks) in sizes.iter().zip(splits) {
+                let Ok(grant) = commit(&mut arb.stripes, &mut mm, tenant, size, chunks) else {
+                    break;
+                };
+                committed.push(grant);
+            }
+        }
+        drop(arb.stripes);
+        if committed.len() < 2 {
+            // The merge collapsed before it saved any planning work;
+            // roll the stray grant back (ledgers included) and let the
+            // serial path serve the whole batch from scratch.
+            if let Some((region, placement)) = committed.pop() {
+                self.settle_free(tenant, region, &placement);
+            }
+            return None;
+        }
+
+        // One merged walk ⇒ one attribute substitution.
+        if let (true, Some(fallback)) = (self.sink.enabled(), arb.attr_fallback) {
+            self.sink.emit(Event::AttrFallback(fallback));
+        }
+        let name = &arb.registry[&tenant].name;
+        let merged = committed.len();
+        let bytes: u64 = committed.iter().flat_map(|(_, p)| p.iter()).map(|&(_, b)| b).sum();
+        let mut results: Vec<Result<Lease, ServiceError>> = Vec::with_capacity(reqs.len());
+        for grant in committed {
+            results.push(Ok(self.grant(tenant, name, arb.ttl, grant, &[])));
+        }
+        if self.sink.enabled() {
+            self.sink.emit(Event::BatchCoalesced(BatchCoalesced {
+                broker: self.id,
+                shard,
+                tenant: name.clone(),
+                merged: merged as u64,
+                bytes,
+            }));
+        }
+        // Any tail the commit loop could not place reruns serially.
+        for req in &reqs[merged..] {
+            results.push(self.acquire_with_ttl(tenant, req, arb.ttl));
+        }
+        Some(results)
+    }
+
+    /// Admission up to the plan, shared by the serial and coalesced
+    /// paths: the stall check, a registry snapshot (so share math is
+    /// stable for this request without holding the registry through
+    /// planning), the ranking with degraded tiers demoted and foreign
+    /// nodes dropped, the stripe locks of every candidate tier, and
+    /// the tier policy built from them.
+    fn arbitrate(
+        &self,
+        tenant: TenantId,
+        req: &AllocRequest,
+        ttl: Option<u64>,
+    ) -> Result<Arbitration<'_>, ServiceError> {
         // Fault hook: a stalled broker refuses allocations with a
         // typed transient error until the stall window closes.
         if self.epoch.load(Ordering::SeqCst) < self.stall_until.load(Ordering::SeqCst) {
             return Err(ServiceError::Stalled);
         }
-        // Snapshot the registry so share math is stable for this
-        // request without holding the lock through planning.
         let registry = {
             let tenants = self.tenants.lock().expect("tenants poisoned");
             if !tenants.contains_key(&tenant) {
@@ -611,12 +871,9 @@ impl Broker {
             .placer
             .rank(req.get_criterion(), &initiator, req.scope())
             .map_err(ranking_error)?;
-        if self.sink.enabled() && ranking.attr_fell_back() {
-            self.sink.emit(Event::AttrFallback(AttrFallback {
-                requested: ranking.requested().0,
-                used: ranking.used().0,
-            }));
-        }
+        let attr_fallback = ranking
+            .attr_fell_back()
+            .then(|| AttrFallback { requested: ranking.requested().0, used: ranking.used().0 });
         // Graceful degradation: nodes on degraded tiers drop to
         // last-resort rank (stable within each group), so requests
         // fall back to healthy tiers instead of hard-failing, yet a
@@ -635,422 +892,123 @@ impl Broker {
         // residual the federation forwards to a peer.
         let ranked: Vec<NodeId> =
             ranking.nodes().into_iter().filter(|n| self.node_kind.contains_key(n)).collect();
-        let size = req.size();
 
         // Lock the stripes of every node sharing a tier with a
-        // candidate, in ascending node order (deadlock freedom), so
-        // tier-level share math sees a consistent snapshot.
+        // candidate, so tier-level share math sees a consistent
+        // snapshot.
         let tiers: BTreeSet<MemoryKind> =
             ranked.iter().filter_map(|n| self.node_kind.get(n).copied()).collect();
-        let mut guards: BTreeMap<NodeId, MutexGuard<'_, NodeLedger>> = BTreeMap::new();
-        for (&node, &kind) in &self.node_kind {
-            if tiers.contains(&kind) {
-                guards.insert(node, self.stripes[&node].lock().expect("stripe poisoned"));
-            }
-        }
-
-        // Tier aggregates under the locks.
-        let tier_free = |guards: &BTreeMap<NodeId, MutexGuard<'_, NodeLedger>>,
-                         kind: MemoryKind| {
-            guards
-                .iter()
-                .filter(|(n, _)| self.node_kind.get(n) == Some(&kind))
-                .map(|(_, g)| g.free)
-                .sum::<u64>()
-        };
-        let tier_used_by = |guards: &BTreeMap<NodeId, MutexGuard<'_, NodeLedger>>,
-                            kind: MemoryKind,
-                            who: TenantId| {
-            guards
-                .iter()
-                .filter(|(n, _)| self.node_kind.get(n) == Some(&kind))
-                .map(|(_, g)| g.used_by.get(&who).copied().unwrap_or(0))
-                .sum::<u64>()
-        };
+        let stripes =
+            self.lock_stripes(|n| self.node_kind.get(&n).is_some_and(|k| tiers.contains(k)));
 
         // Snapshot each candidate tier under the locks; the admission
         // arithmetic itself (quota clamp, fair-share / static test)
         // lives in the placement engine's `TierPolicy`.
         let mut snapshots: BTreeMap<MemoryKind, TierSnapshot> = BTreeMap::new();
         for &kind in &tiers {
+            let on_tier = || {
+                stripes.iter().filter(|(n, _)| self.node_kind.get(n) == Some(&kind)).map(|(_, l)| l)
+            };
+            let used_by =
+                |who| on_tier().map(|l| l.used_by.get(&who).copied().unwrap_or(0)).sum::<u64>();
             let others_shortfall: u64 = registry
                 .keys()
                 .filter(|&&id| id != tenant)
-                .map(|&id| {
-                    self.guarantee(&registry, id, kind)
-                        .saturating_sub(tier_used_by(&guards, kind, id))
-                })
+                .map(|&id| self.guarantee(&registry, id, kind).saturating_sub(used_by(id)))
                 .sum();
             snapshots.insert(
                 kind,
                 TierSnapshot {
-                    free: tier_free(&guards, kind),
-                    used_by_requester: tier_used_by(&guards, kind, tenant),
+                    free: on_tier().map(|l| l.free).sum(),
+                    used_by_requester: used_by(tenant),
                     guarantee: self.guarantee(&registry, tenant, kind),
                     others_shortfall,
                     quota: registry[&tenant].quota.get(&kind).copied(),
                 },
             );
         }
-        let mut admission =
+        let admission =
             TierPolicy::new(self.policy.as_share_mode(), self.node_kind.clone(), snapshots);
+        Ok(Arbitration { registry, ttl, ranked, stripes, admission, attr_fallback })
+    }
 
-        // Plan: the engine walks the ranking, asks the policy how much
-        // is admissible on each node, and honors the fallback mode.
-        // Ledger bytes are exact (the commit path rounds), so no page
-        // quantization here.
-        let plan = self.placer.plan(
-            &PlanRequest { size, mode: req.get_fallback().as_telemetry(), page_quantize: false },
-            &ranked,
-            |n| guards[&n].free,
-            &mut admission,
-        );
-        let tenant_name = registry[&tenant].name.clone();
-        let clamps: Vec<QuotaClamp> = plan
-            .clamps
-            .iter()
-            .map(|c| QuotaClamp {
-                broker: self.id,
-                tenant: tenant_name.clone(),
-                node: c.node,
-                requested: c.requested,
-                allowed: c.allowed,
-            })
-            .collect();
-
-        let emit_clamps = |broker: &Broker, clamps: &[QuotaClamp]| {
-            if broker.sink.enabled() {
-                for c in clamps {
-                    broker.sink.emit(Event::QuotaClamp(c.clone()));
-                }
-            }
-        };
-        if !plan.is_complete() {
-            emit_clamps(self, &clamps);
-            let mut tenants = self.tenants.lock().expect("tenants poisoned");
-            if let Some(t) = tenants.get_mut(&tenant) {
-                t.clamps += clamps.len() as u64;
-            }
-            return Err(ServiceError::Admission {
-                requested: size,
-                granted: size - plan.shortfall,
-            });
-        }
-
-        // Commit under the stripe locks; `Exact` cannot spill past
-        // what the arbiter admitted.
-        let (region, placement) = {
-            let mut mm = self.mm.lock().expect("mm poisoned");
-            let region = mm
-                .alloc(size, AllocPolicy::Exact(plan.chunks.clone()))
-                .map_err(|e| ServiceError::Commit(e.to_string()))?;
-            let placement = mm.region(region).expect("fresh region").placement.clone();
-            // Settle the ledgers to the manager's ground truth (page
-            // rounding happens there) before the stripes unlock.
-            for (node, guard) in guards.iter_mut() {
-                guard.free = mm.available(*node);
-            }
-            for &(node, bytes) in &placement {
-                if let Some(guard) = guards.get_mut(&node) {
-                    *guard.used_by.entry(tenant).or_insert(0) += bytes;
-                }
-            }
-            (region, placement)
-        };
-        drop(guards);
-
-        let granted: u64 = placement.iter().map(|&(_, b)| b).sum();
-        let fast_bytes: u64 = placement
-            .iter()
-            .filter(|(n, _)| self.node_kind.get(n) == Some(&self.fast_kind))
-            .map(|&(_, b)| b)
-            .sum();
+    /// Records a committed grant: inserts the lease record, counts the
+    /// admit and the plan's clamps, emits one `quota_clamp` per clamp
+    /// and then `tenant_admit`, and hands the lease out.
+    fn grant(
+        &self,
+        tenant: TenantId,
+        name: &str,
+        ttl: Option<u64>,
+        (region, placement): (RegionId, Vec<(NodeId, u64)>),
+        clamps: &[ClampFact],
+    ) -> Lease {
+        let size: u64 = placement.iter().map(|&(_, b)| b).sum();
+        let fast_bytes = self.fast_bytes(&placement);
         let id = LeaseId(self.next_lease.fetch_add(1, Ordering::Relaxed));
         let expires_at = ttl.map(|t| self.epoch.load(Ordering::SeqCst).saturating_add(t));
         self.leases.lock().expect("leases poisoned").insert(
             id,
             LeaseRecord { tenant, region, placement: placement.clone(), ttl, expires_at },
         );
-        {
-            let mut tenants = self.tenants.lock().expect("tenants poisoned");
-            if let Some(t) = tenants.get_mut(&tenant) {
-                t.admits += 1;
-                t.clamps += clamps.len() as u64;
-            }
-        }
-        emit_clamps(self, &clamps);
+        self.tally(tenant, name, 1, clamps);
         if self.sink.enabled() {
             self.sink.emit(Event::TenantAdmit(TenantAdmit {
                 broker: self.id,
-                tenant: tenant_name,
+                tenant: name.to_string(),
                 lease: id.0,
-                size: granted,
+                size,
                 placement: placement.clone(),
                 clamped: !clamps.is_empty(),
                 fast_bytes,
             }));
         }
-        Ok(Lease { id, tenant, region, size: granted, placement, fast_bytes })
+        Lease { id, tenant, region, size, placement, fast_bytes }
     }
 
-    /// Serves a same-tenant batch of admission requests, coalescing
-    /// them into **one** ranking and planning walk when they agree on
-    /// criterion, fallback, scope and initiator. The merged grant fans
-    /// back out to the individual requests in arrival order, each
-    /// committing its own region and lease, and one
-    /// [`BatchCoalesced`] event records the merge.
-    ///
-    /// Coalescing is strictly an uncontended-path optimization: if the
-    /// merged plan is incomplete or clamped anywhere — the regimes
-    /// where fair-share arithmetic decides who gets what — the batch
-    /// falls back to serial [`Broker::acquire_with_ttl`] calls, so
-    /// arbitration outcomes under pressure are byte-for-byte those of
-    /// the single-dispatcher path. `shard` only labels the telemetry.
-    pub fn acquire_batch(
-        &self,
-        tenant: TenantId,
-        reqs: &[AllocRequest],
-        ttl: Option<u64>,
-        shard: u32,
-    ) -> Vec<Result<Lease, ServiceError>> {
-        let mergeable = reqs.len() >= 2
-            && reqs.windows(2).all(|w| {
-                w[0].get_criterion() == w[1].get_criterion()
-                    && w[0].get_fallback() == w[1].get_fallback()
-                    && w[0].scope() == w[1].scope()
-                    && w[0].get_initiator() == w[1].get_initiator()
-            });
-        if mergeable {
-            if let Some(results) = self.try_acquire_coalesced(tenant, reqs, ttl, shard) {
-                return results;
-            }
-        }
-        reqs.iter().map(|r| self.acquire_with_ttl(tenant, r, ttl)).collect()
+    /// The bytes of `placement` on the fast tier.
+    fn fast_bytes(&self, placement: &[(NodeId, u64)]) -> u64 {
+        placement
+            .iter()
+            .filter(|(n, _)| self.node_kind.get(n) == Some(&self.fast_kind))
+            .map(|&(_, b)| b)
+            .sum()
     }
 
-    /// The coalesced fast path of [`Broker::acquire_batch`]: plans the
-    /// batch total in one walk and splits the chunks back across the
-    /// requests. Returns `None` whenever the clean merge does not
-    /// apply (stall, unknown tenant, ranking error, incomplete or
-    /// clamped plan) — the caller then runs the serial path, which
-    /// owns all error reporting and contended arbitration.
-    fn try_acquire_coalesced(
-        &self,
-        tenant: TenantId,
-        reqs: &[AllocRequest],
-        ttl: Option<u64>,
-        shard: u32,
-    ) -> Option<Vec<Result<Lease, ServiceError>>> {
-        if self.epoch.load(Ordering::SeqCst) < self.stall_until.load(Ordering::SeqCst) {
-            return None;
-        }
-        let registry = {
-            let tenants = self.tenants.lock().expect("tenants poisoned");
-            if !tenants.contains_key(&tenant) {
-                return None;
-            }
-            tenants.clone()
-        };
-        let ttl = ttl.or(registry[&tenant].lease_ttl);
-        let head = &reqs[0];
-        let initiator =
-            normalize_initiator(head.get_initiator(), self.machine.topology().machine_cpuset())
-                .ok()?;
-        let mut ranking = self.placer.rank(head.get_criterion(), &initiator, head.scope()).ok()?;
-        let attr_fell_back = ranking.attr_fell_back();
-        let (attr_requested, attr_used) = (ranking.requested().0, ranking.used().0);
-        {
-            let degraded = self.degraded.lock().expect("degraded poisoned");
-            if !degraded.is_empty() {
-                ranking.demote_last_resort(|n| {
-                    self.node_kind.get(&n).is_some_and(|k| degraded.contains(k))
-                });
-            }
-        }
-        let ranked: Vec<NodeId> =
-            ranking.nodes().into_iter().filter(|n| self.node_kind.contains_key(n)).collect();
-        let total: u64 = reqs.iter().map(|r| r.size()).sum();
-
-        let tiers: BTreeSet<MemoryKind> =
-            ranked.iter().filter_map(|n| self.node_kind.get(n).copied()).collect();
-        let mut guards: BTreeMap<NodeId, MutexGuard<'_, NodeLedger>> = BTreeMap::new();
-        for (&node, &kind) in &self.node_kind {
-            if tiers.contains(&kind) {
-                guards.insert(node, self.stripes[&node].lock().expect("stripe poisoned"));
-            }
-        }
-        let tier_free = |guards: &BTreeMap<NodeId, MutexGuard<'_, NodeLedger>>,
-                         kind: MemoryKind| {
-            guards
-                .iter()
-                .filter(|(n, _)| self.node_kind.get(n) == Some(&kind))
-                .map(|(_, g)| g.free)
-                .sum::<u64>()
-        };
-        let tier_used_by = |guards: &BTreeMap<NodeId, MutexGuard<'_, NodeLedger>>,
-                            kind: MemoryKind,
-                            who: TenantId| {
-            guards
-                .iter()
-                .filter(|(n, _)| self.node_kind.get(n) == Some(&kind))
-                .map(|(_, g)| g.used_by.get(&who).copied().unwrap_or(0))
-                .sum::<u64>()
-        };
-        let mut snapshots: BTreeMap<MemoryKind, TierSnapshot> = BTreeMap::new();
-        for &kind in &tiers {
-            let others_shortfall: u64 = registry
-                .keys()
-                .filter(|&&id| id != tenant)
-                .map(|&id| {
-                    self.guarantee(&registry, id, kind)
-                        .saturating_sub(tier_used_by(&guards, kind, id))
-                })
-                .sum();
-            snapshots.insert(
-                kind,
-                TierSnapshot {
-                    free: tier_free(&guards, kind),
-                    used_by_requester: tier_used_by(&guards, kind, tenant),
-                    guarantee: self.guarantee(&registry, tenant, kind),
-                    others_shortfall,
-                    quota: registry[&tenant].quota.get(&kind).copied(),
-                },
-            );
-        }
-        let mut admission =
-            TierPolicy::new(self.policy.as_share_mode(), self.node_kind.clone(), snapshots);
-        let plan = self.placer.plan(
-            &PlanRequest {
-                size: total,
-                mode: head.get_fallback().as_telemetry(),
-                page_quantize: false,
-            },
-            &ranked,
-            |n| guards[&n].free,
-            &mut admission,
-        );
-        // Any shortfall or clamp means arbitration is deciding — that
-        // must run through the serial path so the outcome is exactly
-        // the single-dispatcher one.
-        if !plan.is_complete() || !plan.clamps.is_empty() {
-            return None;
-        }
-
-        // Fan the merged chunk walk back out across the requests in
-        // arrival order: request i takes the next `size_i` bytes.
-        let sizes: Vec<u64> = reqs.iter().map(|r| r.size()).collect();
-        let splits = plan.split(&sizes)?;
-
-        // Commit request by request under the stripe locks, settling
-        // the ledgers after each grant exactly like the serial path.
-        // Page rounding can exhaust a nearly-full node mid-batch; the
-        // unplaced tail then reruns serially (below), which re-plans
-        // against the settled ledgers.
-        let mut committed: Vec<(RegionId, Vec<(NodeId, u64)>)> = Vec::new();
-        {
-            let mut mm = self.mm.lock().expect("mm poisoned");
-            for (req, chunks) in reqs.iter().zip(&splits) {
-                let Ok(region) = mm.alloc(req.size(), AllocPolicy::Exact(chunks.clone())) else {
-                    break;
-                };
-                let placement = mm.region(region).expect("fresh region").placement.clone();
-                for (node, guard) in guards.iter_mut() {
-                    guard.free = mm.available(*node);
-                }
-                for &(node, bytes) in &placement {
-                    if let Some(guard) = guards.get_mut(&node) {
-                        *guard.used_by.entry(tenant).or_insert(0) += bytes;
-                    }
-                }
-                committed.push((region, placement));
-            }
-        }
-        drop(guards);
-        if committed.len() < 2 {
-            // The merge collapsed before it saved any planning work;
-            // roll the stray grant back (ledgers included) and let the
-            // serial path serve the whole batch from scratch.
-            if let Some((region, placement)) = committed.pop() {
-                self.settle_free(&LeaseRecord {
-                    tenant,
-                    region,
-                    placement,
-                    ttl: None,
-                    expires_at: None,
-                });
-            }
-            return None;
-        }
-
-        let tenant_name = registry[&tenant].name.clone();
-        if self.sink.enabled() && attr_fell_back {
-            // One merged walk ⇒ one attribute substitution.
-            self.sink.emit(Event::AttrFallback(AttrFallback {
-                requested: attr_requested,
-                used: attr_used,
-            }));
-        }
-        let mut results: Vec<Result<Lease, ServiceError>> = Vec::with_capacity(reqs.len());
-        for (region, placement) in &committed {
-            let granted: u64 = placement.iter().map(|&(_, b)| b).sum();
-            let fast_bytes: u64 = placement
-                .iter()
-                .filter(|(n, _)| self.node_kind.get(n) == Some(&self.fast_kind))
-                .map(|&(_, b)| b)
-                .sum();
-            let id = LeaseId(self.next_lease.fetch_add(1, Ordering::Relaxed));
-            let expires_at = ttl.map(|t| self.epoch.load(Ordering::SeqCst).saturating_add(t));
-            self.leases.lock().expect("leases poisoned").insert(
-                id,
-                LeaseRecord {
-                    tenant,
-                    region: *region,
-                    placement: placement.clone(),
-                    ttl,
-                    expires_at,
-                },
-            );
-            {
-                let mut tenants = self.tenants.lock().expect("tenants poisoned");
-                if let Some(t) = tenants.get_mut(&tenant) {
-                    t.admits += 1;
-                }
-            }
-            if self.sink.enabled() {
-                self.sink.emit(Event::TenantAdmit(TenantAdmit {
-                    broker: self.id,
-                    tenant: tenant_name.clone(),
-                    lease: id.0,
-                    size: granted,
-                    placement: placement.clone(),
-                    clamped: false,
-                    fast_bytes,
-                }));
-            }
-            results.push(Ok(Lease {
-                id,
-                tenant,
-                region: *region,
-                size: granted,
-                placement: placement.clone(),
-                fast_bytes,
-            }));
+    /// Counts an admission outcome against the tenant — `admits` plus
+    /// every clamp — and emits one `quota_clamp` per clamp.
+    fn tally(&self, tenant: TenantId, name: &str, admits: u64, clamps: &[ClampFact]) {
+        if let Some(t) = self.tenants.lock().expect("tenants poisoned").get_mut(&tenant) {
+            t.admits += admits;
+            t.clamps += clamps.len() as u64;
         }
         if self.sink.enabled() {
-            let bytes: u64 = committed.iter().flat_map(|(_, p)| p.iter()).map(|&(_, b)| b).sum();
-            self.sink.emit(Event::BatchCoalesced(BatchCoalesced {
-                broker: self.id,
-                shard,
-                tenant: tenant_name,
-                merged: committed.len() as u64,
-                bytes,
-            }));
+            for c in clamps {
+                self.sink.emit(Event::QuotaClamp(QuotaClamp {
+                    broker: self.id,
+                    tenant: name.to_string(),
+                    node: c.node,
+                    requested: c.requested,
+                    allowed: c.allowed,
+                }));
+            }
         }
-        // Any tail the commit loop could not place reruns serially.
-        for req in &reqs[committed.len()..] {
-            results.push(self.acquire_with_ttl(tenant, req, ttl));
-        }
-        Some(results)
+    }
+
+    /// Locks the ledger stripes of the nodes `wanted` selects, in
+    /// ascending node order — the one stripe order every path takes,
+    /// so concurrent clients can never deadlock.
+    fn lock_stripes(&self, wanted: impl Fn(NodeId) -> bool) -> Stripes<'_> {
+        self.stripes
+            .iter()
+            .filter(|(&n, _)| wanted(n))
+            .map(|(&n, stripe)| (n, stripe.lock().expect("stripe poisoned")))
+            .collect()
+    }
+
+    /// A tenant's display name for telemetry (its id once it is gone).
+    fn tenant_name(&self, tenant: TenantId) -> String {
+        name_in(&self.tenants.lock().expect("tenants poisoned"), tenant)
     }
 
     /// Returns a lease's capacity to the machine.
@@ -1061,56 +1019,41 @@ impl Broker {
     /// [`Broker::release`] by wire handle (for remote clients that
     /// only hold the id).
     pub fn release_by_id(&self, id: LeaseId) -> Result<(), ServiceError> {
+        self.free_lease(id).map(|_| ())
+    }
+
+    /// Takes a live lease out of the table and frees its capacity;
+    /// returns the removed record.
+    fn free_lease(&self, id: LeaseId) -> Result<LeaseRecord, ServiceError> {
         let record = self
             .leases
             .lock()
             .expect("leases poisoned")
             .remove(&id)
             .ok_or(ServiceError::UnknownLease(id.0))?;
-        self.settle_free(&record);
-        Ok(())
+        self.settle_free(record.tenant, record.region, &record.placement);
+        Ok(record)
     }
 
-    /// Frees a removed lease record in the manager and settles the
-    /// per-node ledgers to the manager's ground truth.
-    fn settle_free(&self, record: &LeaseRecord) {
+    /// Frees `tenant`'s region in the manager and settles the per-node
+    /// ledgers to the manager's ground truth.
+    fn settle_free(&self, tenant: TenantId, region: RegionId, placement: &[(NodeId, u64)]) {
         {
-            let nodes: BTreeSet<NodeId> = record.placement.iter().map(|&(n, _)| n).collect();
-            let mut guards: BTreeMap<NodeId, MutexGuard<'_, NodeLedger>> = nodes
-                .iter()
-                .map(|&n| (n, self.stripes[&n].lock().expect("stripe poisoned")))
-                .collect();
+            let mut stripes = self.lock_stripes(|n| placement.iter().any(|&(p, _)| p == n));
             let mut mm = self.mm.lock().expect("mm poisoned");
-            mm.free(record.region);
-            for (node, guard) in guards.iter_mut() {
-                guard.free = mm.available(*node);
-            }
-            for &(node, bytes) in &record.placement {
-                if let Some(guard) = guards.get_mut(&node) {
-                    let used = guard.used_by.entry(record.tenant).or_insert(0);
-                    *used = used.saturating_sub(bytes);
-                    if *used == 0 {
-                        guard.used_by.remove(&record.tenant);
-                    }
-                }
-            }
+            mm.free(region);
+            NodeLedger::settle(&mut stripes, &mm, tenant, placement, &[]);
         }
         // Outside the stripe/manager locks: the plane must stop
         // tracking a region whose id the manager may now reuse.
-        self.guidance_forget(record.tenant, record.region);
+        self.guidance_forget(tenant, region);
     }
 
     /// Reclaims a lease outside the normal release path: frees its
     /// capacity, bumps the robustness counters, and emits
     /// `lease_expired`/`lease_revoked` plus `reclaim` telemetry.
     fn reclaim_lease(&self, id: LeaseId, cause: ReclaimCause) -> Result<(), ServiceError> {
-        let record = self
-            .leases
-            .lock()
-            .expect("leases poisoned")
-            .remove(&id)
-            .ok_or(ServiceError::UnknownLease(id.0))?;
-        self.settle_free(&record);
+        let record = self.free_lease(id)?;
         let bytes: u64 = record.placement.iter().map(|&(_, b)| b).sum();
         self.reclaimed_bytes_total.fetch_add(bytes, Ordering::Relaxed);
         match &cause {
@@ -1118,13 +1061,7 @@ impl Broker {
             ReclaimCause::Revoked { .. } => self.revoked_total.fetch_add(1, Ordering::Relaxed),
         };
         if self.sink.enabled() {
-            let tenant = self
-                .tenants
-                .lock()
-                .expect("tenants poisoned")
-                .get(&record.tenant)
-                .map(|t| t.name.clone())
-                .unwrap_or_else(|| format!("{}", record.tenant));
+            let tenant = self.tenant_name(record.tenant);
             let reason = match &cause {
                 ReclaimCause::Expired { ttl } => {
                     self.sink.emit(Event::LeaseExpired(LeaseExpired {
@@ -1580,16 +1517,9 @@ impl Broker {
             stall_ns = stall_ns.max(node_stall);
             stalled += 1;
             if self.sink.enabled() {
-                let name = self
-                    .tenants
-                    .lock()
-                    .expect("tenants poisoned")
-                    .get(&tenant)
-                    .map(|t| t.name.clone())
-                    .unwrap_or_else(|| format!("{tenant}"));
                 self.sink.emit(Event::ContentionStall(ContentionStall {
                     broker: self.id,
-                    tenant: name,
+                    tenant: self.tenant_name(tenant),
                     node,
                     stall_ns: node_stall,
                     sharers,
@@ -1609,11 +1539,8 @@ impl Broker {
     /// then charges contention for the traffic it generated in the
     /// current epoch.
     pub fn run_phase(&self, tenant: TenantId, phase: &Phase) -> Result<ServedPhase, ServiceError> {
-        {
-            let tenants = self.tenants.lock().expect("tenants poisoned");
-            if !tenants.contains_key(&tenant) {
-                return Err(ServiceError::UnknownTenant(format!("{tenant}")));
-            }
+        if !self.tenants.lock().expect("tenants poisoned").contains_key(&tenant) {
+            return Err(ServiceError::UnknownTenant(format!("{tenant}")));
         }
         let report = {
             let mm = self.mm.lock().expect("mm poisoned");
@@ -1669,12 +1596,9 @@ impl Broker {
                 *lease_bytes.entry(node).or_insert(0) += bytes;
             }
         }
-        let mut guards: BTreeMap<NodeId, MutexGuard<'_, NodeLedger>> = BTreeMap::new();
-        for (&node, stripe) in &self.stripes {
-            guards.insert(node, stripe.lock().expect("stripe poisoned"));
-        }
+        let stripes = self.lock_stripes(|_| true);
         let mm = self.mm.lock().expect("mm poisoned");
-        for (&node, guard) in &guards {
+        for (&node, guard) in &stripes {
             let used = mm.used(node);
             let from_leases = lease_bytes.get(&node).copied().unwrap_or(0);
             if used != from_leases {

@@ -27,7 +27,7 @@
 //! [`BrokerState`](super::BrokerState) — record mode refuses guided
 //! service, so replay never needs it.
 
-use super::{Broker, NodeLedger};
+use super::{name_in, Broker, NodeLedger};
 use crate::tenant::TenantId;
 use hetmem_core::attr;
 use hetmem_guidance::{
@@ -39,9 +39,9 @@ use hetmem_placement::Scope;
 use hetmem_telemetry::{BudgetExhausted, Event, HotPromoted, SampleRateChanged};
 use hetmem_topology::NodeId;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
 /// Configuration of the broker's guided service mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,37 +106,23 @@ impl Broker {
     /// id order; tenants that never ran a phase have no plane and no
     /// entry.
     pub fn guided_overhead(&self) -> Option<Vec<(String, f64)>> {
-        let g = self.guidance.as_ref()?;
-        let registry = self.tenants.lock().expect("tenants poisoned").clone();
-        let planes = g.planes.lock().expect("guidance planes poisoned");
-        Some(
-            planes
-                .iter()
-                .map(|(t, p)| {
-                    let name =
-                        registry.get(t).map(|s| s.name.clone()).unwrap_or_else(|| format!("{t}"));
-                    (name, p.overhead_ns())
-                })
-                .collect(),
-        )
+        self.per_plane(GuidancePlane::overhead_ns)
     }
 
     /// Per-tenant lifetime guidance counters, when guided (harnesses
     /// gate overhead and move counts on these).
     pub fn guided_stats(&self) -> Option<Vec<(String, GuidanceStats)>> {
+        self.per_plane(|p| *p.stats())
+    }
+
+    /// One value per tenant plane, named and in tenant id order, when
+    /// guided. The registry is copied first: the fold locks planes
+    /// before tenants, so holding tenants here could deadlock.
+    fn per_plane<T>(&self, value: impl Fn(&GuidancePlane) -> T) -> Option<Vec<(String, T)>> {
         let g = self.guidance.as_ref()?;
         let registry = self.tenants.lock().expect("tenants poisoned").clone();
         let planes = g.planes.lock().expect("guidance planes poisoned");
-        Some(
-            planes
-                .iter()
-                .map(|(t, p)| {
-                    let name =
-                        registry.get(t).map(|s| s.name.clone()).unwrap_or_else(|| format!("{t}"));
-                    (name, *p.stats())
-                })
-                .collect(),
-        )
+        Some(planes.iter().map(|(&t, p)| (name_in(&registry, t), value(p))).collect())
     }
 
     /// Feeds one served phase into the calling tenant's plane and
@@ -263,13 +249,9 @@ impl Broker {
                 budget.charge(cost_ns);
                 plane.record_move(region, true, cost_ns);
                 if self.sink.enabled() {
-                    let name = registry
-                        .get(&tenant)
-                        .map(|s| s.name.clone())
-                        .unwrap_or_else(|| format!("{tenant}"));
                     self.sink.emit(Event::HotPromoted(HotPromoted {
                         broker: self.id,
-                        tenant: name,
+                        tenant: name_in(&registry, tenant),
                         region: region.0,
                         to,
                         bytes,
@@ -302,12 +284,7 @@ impl Broker {
             .map(|r| RegionView {
                 id: r.region,
                 size: r.placement.iter().map(|&(_, b)| b).sum(),
-                on_target: r
-                    .placement
-                    .iter()
-                    .filter(|(n, _)| self.node_kind.get(n) == Some(&self.fast_kind))
-                    .map(|&(_, b)| b)
-                    .sum(),
+                on_target: self.fast_bytes(&r.placement),
             })
             .collect()
     }
@@ -329,43 +306,14 @@ impl Broker {
         let lease_id = leases.iter().find(|(_, r)| r.region == region).map(|(&id, _)| id)?;
         let record = leases.get_mut(&lease_id).expect("lease just found");
         let tenant = record.tenant;
-        let nodes: BTreeSet<NodeId> =
-            record.placement.iter().map(|&(n, _)| n).chain(std::iter::once(target)).collect();
-        let mut guards: BTreeMap<NodeId, MutexGuard<'_, NodeLedger>> = nodes
-            .iter()
-            .filter_map(|&n| self.stripes.get(&n).map(|s| (n, s.lock().expect("stripe poisoned"))))
-            .collect();
+        let mut stripes =
+            self.lock_stripes(|n| n == target || record.placement.iter().any(|&(p, _)| p == n));
         let mut mm = self.mm.lock().expect("mm poisoned");
         let report = mm.migrate(region, target).ok()?;
         let placement = mm.region(region)?.placement.clone();
-        for (node, guard) in guards.iter_mut() {
-            guard.free = mm.available(*node);
-        }
-        for &(node, bytes) in &record.placement {
-            if let Some(guard) = guards.get_mut(&node) {
-                let used = guard.used_by.entry(tenant).or_insert(0);
-                *used = used.saturating_sub(bytes);
-                if *used == 0 {
-                    guard.used_by.remove(&tenant);
-                }
-            }
-        }
-        for &(node, bytes) in &placement {
-            if let Some(guard) = guards.get_mut(&node) {
-                *guard.used_by.entry(tenant).or_insert(0) += bytes;
-            }
-        }
+        NodeLedger::settle(&mut stripes, &mm, tenant, &record.placement, &placement);
         record.placement = placement;
         Some((report.cost_ns, report.bytes_moved))
-    }
-
-    fn tenant_name(&self, tenant: TenantId) -> String {
-        self.tenants
-            .lock()
-            .expect("tenants poisoned")
-            .get(&tenant)
-            .map(|t| t.name.clone())
-            .unwrap_or_else(|| format!("{tenant}"))
     }
 }
 

@@ -45,7 +45,7 @@
 use crate::broker::Broker;
 use crate::shard::ShardConfig;
 use crate::wire::{Request, Response};
-use crate::{LeaseId, ServiceError, TenantSpec};
+use crate::{Lease, LeaseId, ServiceError, TenantId, TenantSpec};
 use hetmem_alloc::{AllocRequest, Fallback};
 use hetmem_core::AttrId;
 use hetmem_telemetry::{Event, RetryExhausted, ShardSteal, SpillForwarded, TelemetrySink};
@@ -500,29 +500,21 @@ impl Plane {
     /// [`Broker::acquire_batch`] walk; everything else takes the
     /// serial path.
     fn serve_batch(&self, shard: u32, batch: Vec<Work>) {
-        let mut items: Vec<Option<Work>> = batch.into_iter().map(Some).collect();
-        let mut i = 0;
-        while i < items.len() {
-            if self.coalesce {
-                let mut j = i;
-                while j < items.len()
-                    && alloc_key(items[i].as_ref().expect("item taken"))
-                        .zip(alloc_key(items[j].as_ref().expect("item taken")))
-                        .is_some_and(|(a, b)| a == b)
-                {
-                    j += 1;
+        let mut batch = VecDeque::from(batch);
+        while let Some(item) = batch.pop_front() {
+            // How many of the following frames share `item`'s key.
+            let followers = match alloc_key(&item) {
+                Some(key) if self.coalesce => {
+                    batch.iter().take_while(|w| alloc_key(w) == Some(key)).count()
                 }
-                if j - i >= 2 {
-                    let run: Vec<Work> =
-                        items[i..j].iter_mut().map(|s| s.take().expect("item taken")).collect();
-                    self.serve_run(shard, run);
-                    i = j;
-                    continue;
-                }
+                _ => 0,
+            };
+            if followers == 0 {
+                self.serve_one(item);
+            } else {
+                let run = std::iter::once(item).chain(batch.drain(..followers)).collect();
+                self.serve_run(shard, run);
             }
-            let item = items[i].take().expect("item taken");
-            self.serve_one(item);
-            i += 1;
         }
     }
 
@@ -547,34 +539,16 @@ impl Plane {
             };
             tenant_name = tenant;
             ttl = t;
-            let mut req = AllocRequest::new(size).criterion(criterion).fallback(fallback);
-            if let Some(label) = label {
-                req = req.label(label);
-            }
-            reqs.push(req);
+            reqs.push(alloc_request(size, criterion, fallback, label));
             replies.push((conn_id, reply_to));
         }
-        let outcomes = match broker.tenant_id(&tenant_name) {
-            Some(id) => broker.acquire_batch(id, &reqs, ttl, shard),
-            None => {
-                let e = ServiceError::UnknownTenant(tenant_name.clone());
-                reqs.iter().map(|_| Err(e.clone())).collect()
-            }
+        let outcomes = match tenant_id(broker, &tenant_name) {
+            Ok(id) => broker.acquire_batch(id, &reqs, ttl, shard),
+            Err(e) => reqs.iter().map(|_| Err(e.clone())).collect(),
         };
         for ((conn_id, reply_to), outcome) in replies.into_iter().zip(outcomes) {
-            let response = match outcome {
-                Ok(lease) => {
-                    let resp = Response::Granted {
-                        lease: lease.id().0,
-                        size: lease.size(),
-                        placement: lease.placement().to_vec(),
-                        fast_bytes: lease.fast_bytes(),
-                    };
-                    self.track_lease(conn_id, &resp, None);
-                    resp
-                }
-                Err(e) => Response::from_error(&e),
-            };
+            let response = outcome.map_or_else(|e| Response::from_error(&e), |l| granted(&l));
+            self.track_lease(conn_id, &response, None);
             reply(&reply_to, &response);
         }
     }
@@ -712,6 +686,37 @@ fn alloc_key(work: &Work) -> Option<(&str, AttrId, Fallback, Option<u64>)> {
         _ => None,
     }
 }
+
+/// The broker request an `alloc` or `forward` frame asks for.
+fn alloc_request(
+    size: u64,
+    criterion: AttrId,
+    fallback: Fallback,
+    label: Option<String>,
+) -> AllocRequest {
+    let req = AllocRequest::new(size).criterion(criterion).fallback(fallback);
+    match label {
+        Some(label) => req.label(label),
+        None => req,
+    }
+}
+
+/// The broker id of a wire tenant name.
+fn tenant_id(broker: &Broker, tenant: &str) -> Result<TenantId, ServiceError> {
+    broker.tenant_id(tenant).ok_or_else(|| ServiceError::UnknownTenant(tenant.to_string()))
+}
+
+/// The `granted` frame for a lease. The broker keeps the lease record;
+/// the wire client holds only the id and frees through it.
+fn granted(lease: &Lease) -> Response {
+    Response::Granted {
+        lease: lease.id().0,
+        size: lease.size(),
+        placement: lease.placement().to_vec(),
+        fast_bytes: lease.fast_bytes(),
+    }
+}
+
 /// Serves one already-parsed request against the broker.
 pub fn serve(broker: &Broker, request: Request) -> Response {
     serve_with_shards(broker, request, 1)
@@ -733,41 +738,23 @@ pub fn serve_with_shards(broker: &Broker, request: Request, shards: u32) -> Resp
             Ok(Response::Registered { tenant_id: id.0 })
         }
         Request::Alloc { tenant, size, criterion, fallback, label, ttl } => {
-            let id = broker
-                .tenant_id(&tenant)
-                .ok_or_else(|| ServiceError::UnknownTenant(tenant.clone()))?;
-            let mut req = AllocRequest::new(size).criterion(criterion).fallback(fallback);
-            if let Some(label) = label {
-                req = req.label(label);
-            }
-            // The broker keeps the lease record; the wire client holds
-            // only the id and frees through it.
+            let id = tenant_id(broker, &tenant)?;
+            let req = alloc_request(size, criterion, fallback, label);
             let lease = broker.acquire_with_ttl(id, &req, ttl)?;
-            Ok(Response::Granted {
-                lease: lease.id().0,
-                size: lease.size(),
-                placement: lease.placement().to_vec(),
-                fast_bytes: lease.fast_bytes(),
-            })
+            Ok(granted(&lease))
         }
         Request::Renew { tenant, lease } => {
-            let id = broker
-                .tenant_id(&tenant)
-                .ok_or_else(|| ServiceError::UnknownTenant(tenant.clone()))?;
+            let id = tenant_id(broker, &tenant)?;
             let expires_at = broker.renew(id, LeaseId(lease))?;
             Ok(Response::Renewed { lease, expires_at })
         }
         Request::Heartbeat { tenant } => {
-            let id = broker
-                .tenant_id(&tenant)
-                .ok_or_else(|| ServiceError::UnknownTenant(tenant.clone()))?;
+            let id = tenant_id(broker, &tenant)?;
             let renewed = broker.heartbeat(id)?;
             Ok(Response::HeartbeatAck { renewed })
         }
         Request::Free { tenant, lease } => {
-            let id = broker
-                .tenant_id(&tenant)
-                .ok_or_else(|| ServiceError::UnknownTenant(tenant.clone()))?;
+            let id = tenant_id(broker, &tenant)?;
             let holder =
                 broker.lease_owner(LeaseId(lease)).ok_or(ServiceError::UnknownLease(lease))?;
             if holder != id {
@@ -783,23 +770,15 @@ pub fn serve_with_shards(broker: &Broker, request: Request, shards: u32) -> Resp
             guided: broker.guided_overhead(),
         }),
         Request::Forward { origin, tenant, size, criterion, fallback, label, ttl } => {
-            let id = broker
-                .tenant_id(&tenant)
-                .ok_or_else(|| ServiceError::UnknownTenant(tenant.clone()))?;
-            let mut req = AllocRequest::new(size).criterion(criterion).fallback(fallback);
-            if let Some(label) = label {
-                req = req.label(label);
-            }
-            let lease = match broker.acquire_with_ttl(id, &req, ttl) {
-                Ok(lease) => lease,
+            let id = tenant_id(broker, &tenant)?;
+            let req = alloc_request(size, criterion, fallback, label);
+            let lease = broker.acquire_with_ttl(id, &req, ttl).map_err(|e| match e {
                 // The forwarder ranked this broker on a digest that
                 // promised room; a shortfall here means that digest no
                 // longer reflects reality.
-                Err(ServiceError::Admission { .. }) => {
-                    return Err(ServiceError::StaleDigest { peer: broker.id() });
-                }
-                Err(e) => return Err(e),
-            };
+                ServiceError::Admission { .. } => ServiceError::StaleDigest { peer: broker.id() },
+                e => e,
+            })?;
             // Emitted here — not in the federation — so a per-broker
             // wire-log replay of the forward frame regenerates it and
             // the trailer summaries stay byte-identical.
@@ -814,12 +793,7 @@ pub fn serve_with_shards(broker: &Broker, request: Request, shards: u32) -> Resp
                     cost_ns: spill_cost_ns(size),
                 }));
             }
-            Ok(Response::Granted {
-                lease: lease.id().0,
-                size: lease.size(),
-                placement: lease.placement().to_vec(),
-                fast_bytes: lease.fast_bytes(),
-            })
+            Ok(granted(&lease))
         }
         Request::Digest => Ok(Response::Digest {
             broker: broker.id(),
@@ -1164,9 +1138,11 @@ mod tests {
         assert_eq!(server.broker().live_leases(), 1);
         drop(client);
         // The connection thread posts the disconnect and serves it
-        // on its shard's next tick.
+        // on its shard's next tick. Wait for the revocation counter:
+        // it moves last, after the lease leaves the table and the
+        // ledgers settle.
         for _ in 0..200 {
-            if server.broker().live_leases() == 0 {
+            if server.broker().robustness().revoked == 1 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(10));

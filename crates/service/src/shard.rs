@@ -26,17 +26,21 @@
 //! [`ShardCore`] here is the deterministic, thread-free form of that
 //! plane: callers `submit` then `drain` on one thread, and the exact
 //! same request stream produces the exact same grants, steals and
-//! telemetry every run. The live server serves the same semantics
-//! from its connection threads, one per-shard dispatch token at a
-//! time (`Server::bind_sharded`); the load
-//! harness drives `ShardCore` directly so its numbers are
-//! reproducible on any machine.
+//! telemetry every run. The load harness drives `ShardCore` directly
+//! so its numbers are reproducible on any machine.
+//!
+//! The live server (`Server::bind_sharded`) serves the same queues and
+//! steals from its connection threads, one per-shard dispatch token at
+//! a time, but groups differently: `ShardCore` merges same-key
+//! requests across the whole drained batch (`[A1, B1, A2]` serves
+//! `A1+A2` merged, then `B1`), while the server merges only
+//! consecutive runs (`A1`, `B1`, `A2` one by one).
 //!
 //! With `shards == 1` and coalescing off, the plane degenerates to
 //! exactly the single-dispatcher admission order — the regression
 //! anchor `tests/shard_dispatch.rs` pins byte for byte.
 
-use crate::broker::{Broker, Lease};
+use crate::broker::{same_walk, Broker, Lease};
 use crate::tenant::TenantId;
 use crate::ServiceError;
 use hetmem_alloc::AllocRequest;
@@ -268,12 +272,7 @@ impl ShardCore {
         for p in batch {
             let slot = groups.iter_mut().find(|g| {
                 let head = &g[0];
-                head.tenant == p.tenant
-                    && head.ttl == p.ttl
-                    && head.req.get_criterion() == p.req.get_criterion()
-                    && head.req.get_fallback() == p.req.get_fallback()
-                    && head.req.scope() == p.req.scope()
-                    && head.req.get_initiator() == p.req.get_initiator()
+                head.tenant == p.tenant && head.ttl == p.ttl && same_walk(&head.req, &p.req)
             });
             match slot {
                 Some(g) => g.push(p),

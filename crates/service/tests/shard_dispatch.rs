@@ -20,6 +20,7 @@ use hetmem_service::{
     ArbitrationPolicy, Broker, Lease, Priority, ServiceError, TenantId, TenantSpec,
 };
 use hetmem_telemetry::{Event, TelemetrySink};
+use hetmem_topology::MemoryKind;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -205,6 +206,69 @@ fn idle_shards_steal_from_the_longest_queue() {
     broker.check_invariants().expect("consistent after churn");
 }
 
+/// The two ways a merged walk hands work back to serial admission,
+/// pinned deterministically. A sole tenant leaves the HBM tier with
+/// exactly `k` free pages; a batch of 1-byte requests then plans in
+/// one walk, but the manager rounds each grant to a page, so the
+/// tier fills after `k` commits:
+///
+/// * `k = 1`, 2 requests — one commit, which is rolled back, and the
+///   whole batch reruns serially (no `batch_coalesced` event);
+/// * `k = 2`, 3 requests — two commits stand (`merged: 2`) and the
+///   third reruns serially.
+///
+/// Either way the outcomes, the tenant counters and the ledgers equal
+/// serial admission's. Footprints are compared, not region ids: a
+/// rollback uses up a manager region id.
+#[test]
+fn merge_rollback_and_tail_rerun_match_serial_admission() {
+    const PAGE: u64 = 4096;
+    let bw = |bytes: u64| {
+        AllocRequest::new(bytes).criterion(attr::BANDWIDTH).fallback(Fallback::PartialSpill)
+    };
+    for (k, batch, merged) in [(1u64, 2usize, None), (2, 3, Some(2u64))] {
+        let machine = Arc::new(Machine::knl_snc4_flat());
+        let attrs = Arc::new(discovery::from_firmware(&machine, true).expect("attrs"));
+        let mut coalesced = Broker::new(machine, attrs, ArbitrationPolicy::FairShare);
+        let sink = TelemetrySink::with_ring_words(1 << 12);
+        let mut collector = sink.collector();
+        coalesced.set_sink(sink);
+        let serial = knl_broker(ArbitrationPolicy::FairShare);
+        let tenant = register(&coalesced, &[("solo", Priority::Normal)])[0];
+        assert_eq!(register(&serial, &[("solo", Priority::Normal)])[0], tenant);
+
+        let fast_free = |broker: &Broker| {
+            let digest = broker.capacity_digest();
+            digest.iter().find(|(kind, _, _)| *kind == MemoryKind::Hbm).expect("hbm tier").1
+        };
+        let fill = bw(fast_free(&coalesced) - k * PAGE - 1);
+        let filler = (coalesced.acquire(tenant, &fill), serial.acquire(tenant, &fill));
+        assert_eq!(footprint(&filler.0), footprint(&filler.1));
+        assert_eq!(fast_free(&coalesced), k * PAGE, "the filler leaves exactly k pages");
+
+        let reqs: Vec<AllocRequest> = (0..batch).map(|_| bw(1)).collect();
+        let coalesced_out: Vec<_> =
+            coalesced.acquire_batch(tenant, &reqs, None, 0).iter().map(footprint).collect();
+        let serial_out: Vec<_> =
+            reqs.iter().map(|r| footprint(&serial.acquire_with_ttl(tenant, r, None))).collect();
+        assert_eq!(coalesced_out, serial_out, "k = {k}: outcomes diverged from serial admission");
+        assert_eq!(coalesced.tenants(), serial.tenants(), "k = {k}: tenant counters diverged");
+        assert_eq!(coalesced.node_usage(), serial.node_usage(), "k = {k}: ledgers diverged");
+        coalesced.check_invariants().expect("coalesced ledgers consistent");
+        serial.check_invariants().expect("serial ledgers consistent");
+
+        let merges: Vec<u64> = collector
+            .drain_sorted()
+            .into_iter()
+            .filter_map(|c| match c.event {
+                Event::BatchCoalesced(b) => Some(b.merged),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(merges, merged.into_iter().collect::<Vec<_>>(), "k = {k}: merge events");
+    }
+}
+
 /// Strategy: a stream of MiB-aligned requests, grouped contiguously by
 /// tenant so the coalescer's group order equals the serial order (each
 /// tenant keeps one criterion, so groups never split).
@@ -290,6 +354,7 @@ proptest! {
             serial.node_usage(),
             "node ledgers diverged under coalescing"
         );
+        prop_assert_eq!(coalesced.tenants(), serial.tenants(), "admits, clamps or holdings diverged");
         coalesced.check_invariants().expect("coalesced ledgers consistent");
         serial.check_invariants().expect("serial ledgers consistent");
     }
