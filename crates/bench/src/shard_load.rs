@@ -33,9 +33,9 @@ use crate::load::{BASE_ALLOC_NS, QUEUE_STEP_NS, SPILL_HOP_NS};
 use hetmem_alloc::{AllocRequest, Fallback};
 use hetmem_core::{attr, MemAttrs};
 use hetmem_memsim::Machine;
+use hetmem_service::shard::shard_of;
 use hetmem_service::{
-    ArbitrationPolicy, Broker, Lease, Priority, ServiceError, ShardAssignment, ShardConfig,
-    ShardCore, TenantSpec,
+    ArbitrationPolicy, Broker, Lease, Priority, ServiceError, ShardConfig, ShardCore, TenantSpec,
 };
 use hetmem_telemetry::{Event, TelemetrySink};
 use rand::rngs::SmallRng;
@@ -107,7 +107,7 @@ pub struct ShardLoadReport {
 /// latency-class, four batch-class) whose steady-state footprint
 /// oversubscribes the ~16 GiB MCDRAM tier about 2×, so placement
 /// spills and the fast tier is genuinely contended. Tenant count is a
-/// multiple of every swept shard count, so tenant-group assignment
+/// multiple of every swept shard count, so assigning by tenant
 /// balances the shards and the measured speedup is the plane's, not a
 /// skew artifact. `shards == 1` runs without coalescing — that is the
 /// single-dispatcher baseline the fairness tolerance is anchored to.
@@ -147,14 +147,8 @@ pub fn run_shard_load(
         tenants.push(id);
     }
     let broker = Arc::new(broker);
-    let mut core = ShardCore::new(
-        broker.clone(),
-        ShardConfig {
-            shards: cfg.shards,
-            coalesce: cfg.coalesce,
-            assignment: ShardAssignment::TenantGroup,
-        },
-    );
+    let mut core =
+        ShardCore::new(broker.clone(), ShardConfig { shards: cfg.shards, coalesce: cfg.coalesce });
     let shards = core.config().effective_shards() as usize;
     let physical = cfg.ticks as u64 * cfg.arrivals_per_tick as u64;
     let weight = cfg.clients as f64 / physical as f64;
@@ -190,7 +184,7 @@ pub fn run_shard_load(
                 .criterion(attr::BANDWIDTH)
                 .fallback(Fallback::PartialSpill)
                 .any_locality();
-            let shard = core.shard_of(tenant, &req) as usize;
+            let shard = shard_of(tenant.0.into(), shards);
             meta.push((shard, positions[shard]));
             positions[shard] += 1;
             core.submit(tenant, req, None);
@@ -312,8 +306,11 @@ mod tests {
                 r.fast_hit,
                 baseline.fast_hit
             );
-            assert!(r.merged_batches > 0, "coalescing fired at {shards} shards");
             last = r.allocs_per_sec;
         }
+        // Tenants arrive round-robin, so only consecutive same-tenant
+        // runs merge: they exist once each shard serves one tenant.
+        let r = run_shard_load(ctx.machine.clone(), ctx.attrs.clone(), &knl_shard_load(100_000, 8));
+        assert!(r.merged_batches > 0, "coalescing fired at 8 shards");
     }
 }

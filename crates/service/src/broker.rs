@@ -295,10 +295,7 @@ fn commit(
 
 /// Whether two requests can share one planning walk: equal criterion,
 /// fallback, scope and initiator give the same ranking and the same
-/// walk rules. Callers add their own keys on top ([`ShardCore`] adds
-/// tenant and TTL).
-///
-/// [`ShardCore`]: crate::ShardCore
+/// walk rules. The shard plane's grouping rule adds tenant and TTL.
 pub(crate) fn same_walk(a: &AllocRequest, b: &AllocRequest) -> bool {
     a.get_criterion() == b.get_criterion()
         && a.get_fallback() == b.get_fallback()
@@ -1260,7 +1257,8 @@ impl Broker {
 
     /// Posts one dispatch round's admission counts (`dispatched`
     /// served, `stolen` of them by work stealing) to the epoch's
-    /// steal-rate meter. [`crate::ShardCore`] calls this per drain.
+    /// steal-rate meter. The shard plane's batch step calls this for
+    /// every drained batch, in [`crate::ShardCore`] and the server.
     pub fn note_shard_dispatch(&self, dispatched: u64, stolen: u64) {
         self.board.note_dispatch(dispatched, stolen);
     }

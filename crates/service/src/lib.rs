@@ -27,10 +27,12 @@
 //!   surfaced as `ContentionStall` events.
 //! * [`shard`] — the sharded dispatch plane: per-shard admission
 //!   queues ([`ShardConfig`]; in the server, each is served by
-//!   whichever connection thread holds its dispatch token), same-tenant request coalescing into single planning
+//!   whichever connection thread holds its dispatch token),
+//!   consecutive same-tenant requests coalesced into single planning
 //!   walks (`BatchCoalesced`), and work stealing from loaded siblings
 //!   (`ShardSteal`), with arbitration outcomes byte-identical to the
-//!   single-dispatcher plane.
+//!   single-dispatcher plane. The server and [`ShardCore`] run the
+//!   same assignment, steal and grouping rules.
 //! * Lease lifecycle — leases may carry a TTL in service epochs
 //!   ([`TenantSpec::lease_ttl`]) with heartbeat renewal over the wire;
 //!   a silent or disconnected tenant's capacity is reclaimed within
@@ -52,125 +54,115 @@ pub use broker::{
     ArbitrationPolicy, Broker, BrokerState, Lease, LeaseEntry, LeaseId, RobustnessStats,
     ServedPhase, StripeEntry, TenantEntry, MAX_CONTENTION_SLOWDOWN,
 };
-pub use shard::{ShardAssignment, ShardConfig, ShardCore};
+pub use shard::{ShardConfig, ShardCore};
 pub use tenant::{Priority, TenantId, TenantSpec, TenantStats};
 
-/// Everything that can go wrong between a wire request and a lease.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ServiceError {
-    /// The tenant id or name is not registered.
-    UnknownTenant(String),
-    /// A tenant with this name already exists.
-    DuplicateTenant(String),
-    /// The lease id does not refer to a live lease.
-    UnknownLease(u64),
-    /// Registering this reservation would oversubscribe a tier.
-    Reservation {
-        /// The oversubscribed tier.
-        kind: hetmem_topology::MemoryKind,
-        /// Bytes the new tenant asked to reserve.
-        requested: u64,
-        /// Bytes still unreserved on the tier.
-        available: u64,
-    },
-    /// Attribute ranking produced no usable candidates.
-    Ranking(String),
-    /// The arbiter could not admit the full request under the active
-    /// policy and fallback mode. Nothing was committed.
-    Admission {
-        /// Bytes requested.
-        requested: u64,
-        /// Bytes the arbiter could have granted.
-        granted: u64,
-    },
-    /// The memory manager rejected the admitted plan (a broker bug or
-    /// a race with an unmanaged allocation path).
-    Commit(String),
-    /// A malformed wire request.
-    Wire(String),
-    /// Socket-level failure.
-    Io(String),
-    /// The lease aged out: its TTL elapsed without a renewal and the
-    /// capacity was reclaimed.
-    LeaseExpired(u64),
-    /// The broker is transiently refusing allocations (a fault
-    /// injection or an operator pause). Safe to retry with backoff.
-    Stalled,
-    /// The per-request deadline elapsed before a response arrived.
-    DeadlineExceeded(String),
-    /// The request's initiator cpuset is empty after intersection with
-    /// the machine cpuset — no CPU could perform the accesses.
-    EmptyInitiator,
-    /// A snapshot could not be captured, decoded, or restored into a
-    /// live broker (corrupt state, wrong machine, internal
-    /// inconsistency).
-    Snapshot(String),
-    /// A federation peer could not be reached for a forward or a
-    /// digest exchange (marked down). Safe to retry after the next
-    /// gossip round re-ranks the peers.
-    PeerUnreachable(u32),
-    /// A forwarded request was refused by the peer because its actual
-    /// capacity no longer matches the digest the forwarder ranked on.
-    /// The forwarder should refresh its board and re-rank.
-    StaleDigest {
-        /// The peer whose digest went stale.
-        peer: u32,
-    },
+/// Declares [`ServiceError`] as one table of variants, each with its
+/// stable wire code, and generates [`ERROR_CODES`] and
+/// [`ServiceError::code`] from it, so a variant and its code are one
+/// entry.
+macro_rules! service_errors {
+    (
+        $(#[$meta:meta])*
+        pub enum ServiceError {$(
+            $(#[$vmeta:meta])*
+            $variant:ident $(($($tuple:ty),*))? $({ $($body:tt)* })? => $code:literal,
+        )*}
+    ) => {
+        $(#[$meta])*
+        pub enum ServiceError {$(
+            $(#[$vmeta])*
+            $variant $(($($tuple),*))? $({ $($body)* })?,
+        )*}
+
+        /// Stable wire codes for every [`ServiceError`] variant, in
+        /// declaration order — the `code` field of an error response
+        /// frame. `docs/PROTOCOL.md` coverage tests enumerate this list.
+        pub const ERROR_CODES: &[&str] = &[$($code),*];
+
+        impl ServiceError {
+            /// The stable wire code of this error — one of [`ERROR_CODES`].
+            ///
+            /// ```
+            /// use hetmem_service::{ServiceError, ERROR_CODES};
+            /// let e = ServiceError::UnknownLease(7);
+            /// assert_eq!(e.code(), "unknown_lease");
+            /// assert!(ERROR_CODES.contains(&e.code()));
+            /// ```
+            pub fn code(&self) -> &'static str {
+                match self {$(ServiceError::$variant { .. } => $code,)*}
+            }
+        }
+    };
 }
 
-/// Stable wire codes for every [`ServiceError`] variant, in
-/// declaration order — the `code` field of an error response frame.
-/// `docs/PROTOCOL.md` coverage tests enumerate this list.
-pub const ERROR_CODES: &[&str] = &[
-    "unknown_tenant",
-    "duplicate_tenant",
-    "unknown_lease",
-    "reservation",
-    "ranking",
-    "admission",
-    "commit",
-    "wire",
-    "io",
-    "lease_expired",
-    "stalled",
-    "deadline",
-    "empty_initiator",
-    "snapshot",
-    "peer_unreachable",
-    "stale_digest",
-];
+service_errors! {
+    /// Everything that can go wrong between a wire request and a lease.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    #[non_exhaustive]
+    pub enum ServiceError {
+        /// The tenant id or name is not registered.
+        UnknownTenant(String) => "unknown_tenant",
+        /// A tenant with this name already exists.
+        DuplicateTenant(String) => "duplicate_tenant",
+        /// The lease id does not refer to a live lease.
+        UnknownLease(u64) => "unknown_lease",
+        /// Registering this reservation would oversubscribe a tier.
+        Reservation {
+            /// The oversubscribed tier.
+            kind: hetmem_topology::MemoryKind,
+            /// Bytes the new tenant asked to reserve.
+            requested: u64,
+            /// Bytes still unreserved on the tier.
+            available: u64,
+        } => "reservation",
+        /// Attribute ranking produced no usable candidates.
+        Ranking(String) => "ranking",
+        /// The arbiter could not admit the full request under the active
+        /// policy and fallback mode. Nothing was committed.
+        Admission {
+            /// Bytes requested.
+            requested: u64,
+            /// Bytes the arbiter could have granted.
+            granted: u64,
+        } => "admission",
+        /// The memory manager rejected the admitted plan (a broker bug or
+        /// a race with an unmanaged allocation path).
+        Commit(String) => "commit",
+        /// A malformed wire request.
+        Wire(String) => "wire",
+        /// Socket-level failure.
+        Io(String) => "io",
+        /// The lease aged out: its TTL elapsed without a renewal and the
+        /// capacity was reclaimed.
+        LeaseExpired(u64) => "lease_expired",
+        /// The broker is transiently refusing allocations (a fault
+        /// injection or an operator pause). Safe to retry with backoff.
+        Stalled => "stalled",
+        /// The per-request deadline elapsed before a response arrived.
+        DeadlineExceeded(String) => "deadline",
+        /// The request's initiator cpuset is empty after intersection with
+        /// the machine cpuset — no CPU could perform the accesses.
+        EmptyInitiator => "empty_initiator",
+        /// A snapshot could not be captured, decoded, or restored into a
+        /// live broker (corrupt state, wrong machine, internal
+        /// inconsistency).
+        Snapshot(String) => "snapshot",
+        /// A federation peer could not be reached for a forward or a
+        /// digest exchange (marked down). Safe to retry after the next
+        /// gossip round re-ranks the peers.
+        PeerUnreachable(u32) => "peer_unreachable",
+        /// A forwarded request was refused by the peer because its actual
+        /// capacity no longer matches the digest the forwarder ranked on.
+        /// The forwarder should refresh its board and re-rank.
+        StaleDigest {
+            /// The peer whose digest went stale.
+            peer: u32,
+        } => "stale_digest",
+    }
+}
 
 impl ServiceError {
-    /// The stable wire code of this error — one of [`ERROR_CODES`].
-    ///
-    /// ```
-    /// use hetmem_service::{ServiceError, ERROR_CODES};
-    /// let e = ServiceError::UnknownLease(7);
-    /// assert_eq!(e.code(), "unknown_lease");
-    /// assert!(ERROR_CODES.contains(&e.code()));
-    /// ```
-    pub fn code(&self) -> &'static str {
-        match self {
-            ServiceError::UnknownTenant(_) => "unknown_tenant",
-            ServiceError::DuplicateTenant(_) => "duplicate_tenant",
-            ServiceError::UnknownLease(_) => "unknown_lease",
-            ServiceError::Reservation { .. } => "reservation",
-            ServiceError::Ranking(_) => "ranking",
-            ServiceError::Admission { .. } => "admission",
-            ServiceError::Commit(_) => "commit",
-            ServiceError::Wire(_) => "wire",
-            ServiceError::Io(_) => "io",
-            ServiceError::LeaseExpired(_) => "lease_expired",
-            ServiceError::Stalled => "stalled",
-            ServiceError::DeadlineExceeded(_) => "deadline",
-            ServiceError::EmptyInitiator => "empty_initiator",
-            ServiceError::Snapshot(_) => "snapshot",
-            ServiceError::PeerUnreachable(_) => "peer_unreachable",
-            ServiceError::StaleDigest { .. } => "stale_digest",
-        }
-    }
-
     /// Whether retrying the same request later can reasonably succeed
     /// without the caller changing anything. [`server::Client`]'s
     /// retry loop uses this to decide what its backoff applies to.

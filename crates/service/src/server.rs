@@ -43,12 +43,12 @@
 //! chosen port back from [`Server::local_addr`].
 
 use crate::broker::Broker;
-use crate::shard::ShardConfig;
+use crate::shard::{serve_batch, shard_of, Admission, Queues, ShardConfig};
 use crate::wire::{Request, Response};
 use crate::{Lease, LeaseId, ServiceError, TenantId, TenantSpec};
 use hetmem_alloc::{AllocRequest, Fallback};
 use hetmem_core::AttrId;
-use hetmem_telemetry::{Event, RetryExhausted, ShardSteal, SpillForwarded, TelemetrySink};
+use hetmem_telemetry::{Event, RetryExhausted, SpillForwarded, TelemetrySink};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -145,28 +145,14 @@ enum Work {
     Disconnect { conn_id: u64 },
 }
 
-/// One dispatch shard: its admission queue and the token whose holder
-/// serves that queue.
-#[derive(Default)]
-struct Shard {
-    pending: Mutex<VecDeque<Work>>,
-    token: Mutex<()>,
-}
-
-impl Shard {
-    fn len(&self) -> usize {
-        self.pending.lock().expect("queue poisoned").len()
-    }
-
-    /// The dispatch token, unless another thread holds it. A token
-    /// left poisoned by a panicking holder is taken over: the panic
-    /// belonged to one request, not to the shard.
-    fn try_token(&self) -> Option<MutexGuard<'_, ()>> {
-        match self.token.try_lock() {
-            Ok(token) => Some(token),
-            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
+/// A dispatch token, unless another thread holds it. A token left
+/// poisoned by a panicking holder is taken over: the panic belonged to
+/// one request, not to the shard.
+fn try_token(token: &Mutex<()>) -> Option<MutexGuard<'_, ()>> {
+    match token.try_lock() {
+        Ok(token) => Some(token),
+        Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
     }
 }
 
@@ -223,14 +209,15 @@ impl Server {
         Server::bind_sharded(broker, addr, recorder, ShardConfig::default())
     }
 
-    /// [`Server::bind_with`] over a sharded dispatch plane: one queue
-    /// and dispatch token per shard, connections routed to shard
-    /// `conn_id mod S`, posters whose own shard is busy stealing the
-    /// back half of the longest queue onto an idle sibling
+    /// [`Server::bind_with`] over a sharded dispatch plane, running the
+    /// rules of [`crate::shard`]: one queue and dispatch token per
+    /// shard, connection `c` routed to shard [`shard_of`]`(c, S)`, a
+    /// poster whose own shard is busy stealing onto an idle sibling
     /// (`shard_steal` telemetry), and — when [`ShardConfig::coalesce`]
     /// is set — consecutive mergeable same-tenant `alloc` frames in a
-    /// tick batched through one [`Broker::acquire_batch`] planning
-    /// walk (`batch_coalesced` telemetry).
+    /// tick batched through one [`Broker::acquire_batch`] planning walk
+    /// (`batch_coalesced` telemetry). Every tick feeds the broker's
+    /// steal-rate meter ([`Broker::steal_rate`]).
     ///
     /// Recording composes only with the single-dispatcher plane: a
     /// wire log replays serially, and neither a cross-shard thread
@@ -265,21 +252,7 @@ impl Server {
             Bound::Unix(_, path) => (format!("unix:{}", path.display()), Some(path.clone())),
         };
 
-        let shards = config.effective_shards();
-        // S shards tick the broker S times per service round; fold
-        // those ticks into one epoch so contention windows and TTL
-        // aging stay round-wide.
-        broker.set_dispatch_planes(shards);
-        let plane = Arc::new(Plane {
-            broker,
-            shards: (0..shards).map(|_| Shard::default()).collect(),
-            coalesce: config.coalesce,
-            stop: AtomicBool::new(false),
-            conn_leases: Mutex::new(HashMap::new()),
-            dead_conns: Mutex::new(HashSet::new()),
-            recorder: Mutex::new(recorder),
-        });
-
+        let plane = Arc::new(Plane::new(broker, config, recorder));
         let accept_thread = {
             let plane = plane.clone();
             std::thread::spawn(move || {
@@ -370,7 +343,9 @@ impl Drop for Server {
 /// updates as it serves.
 struct Plane {
     broker: Arc<Broker>,
-    shards: Vec<Shard>,
+    queues: Queues<Work>,
+    /// One dispatch token per shard: its holder serves the shard's queue.
+    tokens: Vec<Mutex<()>>,
     coalesce: bool,
     stop: AtomicBool,
     /// Leases granted per connection, so a dropped peer's capacity can
@@ -386,6 +361,24 @@ struct Plane {
 }
 
 impl Plane {
+    fn new(broker: Arc<Broker>, config: ShardConfig, recorder: Option<RequestRecorder>) -> Plane {
+        let shards = config.effective_shards();
+        // S shards tick the broker S times per service round; fold
+        // those ticks into one epoch so contention windows and TTL
+        // aging stay round-wide.
+        broker.set_dispatch_planes(shards);
+        Plane {
+            broker,
+            queues: Queues::new(shards as usize),
+            tokens: (0..shards).map(|_| Mutex::new(())).collect(),
+            coalesce: config.coalesce,
+            stop: AtomicBool::new(false),
+            conn_leases: Mutex::new(HashMap::new()),
+            dead_conns: Mutex::new(HashSet::new()),
+            recorder: Mutex::new(recorder),
+        }
+    }
+
     fn stopped(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
     }
@@ -397,7 +390,7 @@ impl Plane {
         // A connection's frames always land on one shard, so
         // per-connection request order is preserved (modulo stealing,
         // which only moves queue tails).
-        let home = (conn_id % self.shards.len() as u64) as usize;
+        let home = shard_of(conn_id, self.tokens.len());
         let mut reader = BufReader::new(conn);
         loop {
             if self.stopped() {
@@ -446,116 +439,93 @@ impl Plane {
         if self.stopped() {
             return;
         }
-        self.shards[home].pending.lock().expect("queue poisoned").push_back(work);
-        match self.shards[home].try_token() {
-            Some(token) => self.serve_held(home, token, Vec::new()),
-            None if self.shards.len() > 1 => self.steal_for(home),
+        self.queues.lock(home).push_back(work);
+        match try_token(&self.tokens[home]) {
+            Some(token) => self.serve_held(home, token),
+            None if self.tokens.len() > 1 => self.steal_for(home),
             None => {}
         }
     }
 
-    /// With `shard`'s token held: serves `batch`, then drains the
-    /// shard's queue until it is empty, one drained batch per service
-    /// tick (one contention epoch per shard).
+    /// With `shard`'s token held: drains the shard's queue until it is
+    /// empty, one drained batch per service tick.
     ///
     /// The token is released under the queue lock, once the queue is
     /// seen empty. A poster pushes under that lock and tries the token
     /// after, so either its frame was in a drained batch or it finds
     /// the token free — or held by a later holder, which drains after
     /// the push. No frame is left queued without a holder to serve it.
-    fn serve_held(&self, shard: usize, token: MutexGuard<'_, ()>, mut batch: Vec<Work>) {
+    fn serve_held(&self, shard: usize, token: MutexGuard<'_, ()>) {
         loop {
-            if batch.is_empty() {
-                let mut pending = self.shards[shard].pending.lock().expect("queue poisoned");
+            let batch = {
+                let mut pending = self.queues.lock(shard);
                 if pending.is_empty() || self.stopped() {
                     drop(token);
                     return;
                 }
-                batch = pending.drain(..).collect();
-            }
-            self.broker.advance_epoch();
-            self.serve_batch(shard as u32, std::mem::take(&mut batch));
+                std::mem::take(&mut *pending)
+            };
+            self.serve_tick(shard, batch, false);
         }
     }
 
     /// The poster's own shard is busy and at least two frames wait
     /// behind its holder: take the first idle sibling's token and, as
-    /// that shard, serve the back half of the longest queue
-    /// ([`steal_batch`]), then the sibling's own queue.
+    /// that shard, serve what the steal rule takes, then the sibling's
+    /// own queue.
     fn steal_for(&self, home: usize) {
-        if self.shards[home].len() < 2 {
+        if self.queues.lock(home).len() < 2 {
             return;
         }
-        for thief in (0..self.shards.len()).filter(|&s| s != home) {
-            if let Some(token) = self.shards[thief].try_token() {
-                let stolen = steal_batch(&self.broker, &self.shards, thief);
-                self.serve_held(thief, token, stolen);
+        for thief in (0..self.tokens.len()).filter(|&s| s != home) {
+            if let Some(token) = try_token(&self.tokens[thief]) {
+                let stolen = self.queues.steal(&self.broker, thief);
+                if !stolen.is_empty() {
+                    self.serve_tick(thief, stolen, true);
+                }
+                self.serve_held(thief, token);
                 return;
             }
         }
     }
 
-    /// Serves one tick. With coalescing on, consecutive mergeable
-    /// same-tenant `alloc` frames are batched through one
-    /// [`Broker::acquire_batch`] walk; everything else takes the
-    /// serial path.
-    fn serve_batch(&self, shard: u32, batch: Vec<Work>) {
-        let mut batch = VecDeque::from(batch);
-        while let Some(item) = batch.pop_front() {
-            // How many of the following frames share `item`'s key.
-            let followers = match alloc_key(&item) {
-                Some(key) if self.coalesce => {
-                    batch.iter().take_while(|w| alloc_key(w) == Some(key)).count()
-                }
-                _ => 0,
-            };
-            if followers == 0 {
-                self.serve_one(item);
-            } else {
-                let run = std::iter::once(item).chain(batch.drain(..followers)).collect();
-                self.serve_run(shard, run);
-            }
-        }
+    /// One service tick: a fresh contention epoch, then the plane's
+    /// batch step over `batch`.
+    fn serve_tick(&self, shard: usize, batch: VecDeque<Work>, stolen: bool) {
+        self.broker.advance_epoch();
+        serve_batch(
+            &self.broker,
+            shard,
+            batch,
+            stolen,
+            self.coalesce,
+            |work| self.admission(work),
+            |work, outcome| self.serve_one(work, outcome),
+        );
     }
 
-    /// Serves one coalescable run (all items well-formed `alloc`
-    /// frames with equal keys) through a single
-    /// [`Broker::acquire_batch`] call, fanning the grants back out to
-    /// each frame's connection.
-    fn serve_run(&self, shard: u32, run: Vec<Work>) {
-        let broker = &self.broker;
-        let mut tenant_name = String::new();
-        let mut ttl = None;
-        let mut reqs = Vec::with_capacity(run.len());
-        let mut replies = Vec::with_capacity(run.len());
-        for item in run {
-            let Work::Request {
-                conn_id,
-                request: Ok(Request::Alloc { tenant, size, criterion, fallback, label, ttl: t }),
-                reply_to,
-            } = item
-            else {
-                unreachable!("serve_run only receives well-formed alloc frames");
-            };
-            tenant_name = tenant;
-            ttl = t;
-            reqs.push(alloc_request(size, criterion, fallback, label));
-            replies.push((conn_id, reply_to));
-        }
-        let outcomes = match tenant_id(broker, &tenant_name) {
-            Ok(id) => broker.acquire_batch(id, &reqs, ttl, shard),
-            Err(e) => reqs.iter().map(|_| Err(e.clone())).collect(),
+    /// The admission a well-formed `alloc` frame of a registered tenant
+    /// asks for; every other frame is served on its own.
+    fn admission(&self, work: &Work) -> Option<Admission> {
+        let Work::Request {
+            request: Ok(Request::Alloc { tenant, size, criterion, fallback, label, ttl }),
+            ..
+        } = work
+        else {
+            return None;
         };
-        for ((conn_id, reply_to), outcome) in replies.into_iter().zip(outcomes) {
-            let response = outcome.map_or_else(|e| Response::from_error(&e), |l| granted(&l));
-            self.track_lease(conn_id, &response, None);
-            reply(&reply_to, &response);
-        }
+        Some(Admission {
+            tenant: self.broker.tenant_id(tenant)?,
+            ttl: *ttl,
+            req: alloc_request(*size, *criterion, *fallback, label.clone()),
+        })
     }
 
-    /// Serves one work item on the serial path — the single-dispatcher
-    /// semantics, verbatim.
-    fn serve_one(&self, item: Work) {
+    /// Serves one work item and replies to its connection. `outcome`
+    /// is the grant the batch step already admitted for an `alloc`
+    /// frame; without one, the item takes the serial path — the
+    /// single-dispatcher semantics, verbatim.
+    fn serve_one(&self, item: Work, outcome: Option<Result<Lease, ServiceError>>) {
         match item {
             Work::Disconnect { conn_id } => {
                 // Mark dead *before* revoking, so a racing grant on a
@@ -576,23 +546,24 @@ impl Plane {
                 }
             }
             Work::Request { conn_id, request, reply_to } => {
-                let response = match request {
-                    Ok(request) => {
+                let freeing = match &request {
+                    Ok(Request::Free { lease, .. }) => Some(LeaseId(*lease)),
+                    _ => None,
+                };
+                let response = match (request, outcome) {
+                    (_, Some(outcome)) => {
+                        outcome.map_or_else(|e| Response::from_error(&e), |l| granted(&l))
+                    }
+                    (Ok(request), None) => {
                         if let Some(rec) = self.recorder.lock().expect("recorder poisoned").as_mut()
                         {
                             rec(self.broker.epoch(), &request);
                         }
-                        let freeing = match &request {
-                            Request::Free { lease, .. } => Some(LeaseId(*lease)),
-                            _ => None,
-                        };
-                        let resp =
-                            serve_with_shards(&self.broker, request, self.shards.len() as u32);
-                        self.track_lease(conn_id, &resp, freeing);
-                        resp
+                        serve_with_shards(&self.broker, request, self.tokens.len() as u32)
                     }
-                    Err(e) => Response::from_error(&e),
+                    (Err(e), None) => Response::from_error(&e),
                 };
+                self.track_lease(conn_id, &response, freeing);
                 reply(&reply_to, &response);
             }
         }
@@ -632,59 +603,6 @@ impl Plane {
 fn reply(reply_to: &Mutex<Conn>, response: &Response) {
     let mut out = reply_to.lock().expect("conn poisoned");
     let _ = write_frame(&mut *out, response.to_json());
-}
-
-/// Takes the back half of the longest queue other than the thief's
-/// (≥ 2 pending), emitting one `shard_steal` event. Victims keep
-/// their queue head, so stolen work never overtakes the victim's older
-/// requests.
-fn steal_batch(broker: &Broker, shards: &[Shard], thief: usize) -> Vec<Work> {
-    let mut best: Option<(usize, usize)> = None;
-    for (i, shard) in shards.iter().enumerate() {
-        if i == thief {
-            continue;
-        }
-        let len = shard.len();
-        if len >= 2 && best.is_none_or(|(best_len, _)| len > best_len) {
-            best = Some((len, i));
-        }
-    }
-    let Some((_, victim)) = best else {
-        return Vec::new();
-    };
-    let stolen: Vec<Work> = {
-        let mut pending = shards[victim].pending.lock().expect("queue poisoned");
-        let len = pending.len();
-        if len < 2 {
-            // The victim drained between the scan and the lock.
-            return Vec::new();
-        }
-        pending.split_off(len - len / 2).into_iter().collect()
-    };
-    let sink = broker.sink_handle();
-    if sink.enabled() {
-        sink.emit(Event::ShardSteal(ShardSteal {
-            broker: broker.id(),
-            thief: thief as u32,
-            victim: victim as u32,
-            stolen: stolen.len() as u64,
-        }));
-    }
-    stolen
-}
-
-/// The coalescing key of a work item: `Some` only for well-formed
-/// `alloc` frames, equal only when a merged planning walk is
-/// admissible (same tenant, criterion, fallback and TTL — labels may
-/// differ; wire allocs have no initiator or scope knobs).
-fn alloc_key(work: &Work) -> Option<(&str, AttrId, Fallback, Option<u64>)> {
-    match work {
-        Work::Request {
-            request: Ok(Request::Alloc { tenant, criterion, fallback, ttl, .. }),
-            ..
-        } => Some((tenant.as_str(), *criterion, *fallback, *ttl)),
-        _ => None,
-    }
 }
 
 /// The broker request an `alloc` or `forward` frame asks for.
@@ -1268,6 +1186,29 @@ mod tests {
             .expect("retries ride out the stall");
         assert!(matches!(resp, Response::Granted { .. }), "{resp:?}");
         server.shutdown();
+    }
+
+    /// A skewed round on a two-shard plane: shard 0's token is held,
+    /// as by a busy holder, so each post that finds two frames waiting
+    /// steals onto shard 1. The served steals must reach the broker's
+    /// steal-rate meter.
+    #[test]
+    fn served_steals_feed_the_steal_rate_meter() {
+        let machine = Arc::new(Machine::knl_snc4_flat());
+        let attrs = Arc::new(discovery::from_firmware(&machine, true).expect("attrs"));
+        let broker = Arc::new(Broker::new(machine, attrs, ArbitrationPolicy::FairShare));
+        let plane = Plane::new(broker.clone(), ShardConfig { shards: 2, coalesce: false }, None);
+        let (ours, _peer) = UnixStream::pair().expect("socket pair");
+        let reply_to = Arc::new(Mutex::new(Conn::Unix(ours)));
+        let busy = plane.tokens[0].lock().expect("token");
+        for _ in 0..4 {
+            let request = Ok(Request::Stats);
+            plane.post(0, Work::Request { conn_id: 0, request, reply_to: reply_to.clone() });
+        }
+        drop(busy);
+        assert_eq!(plane.queues.lock(0).len(), 1, "the victim keeps its head");
+        broker.advance_epoch();
+        assert!(broker.steal_rate() > 0.0, "steal rate {}", broker.steal_rate());
     }
 
     #[test]

@@ -1,40 +1,45 @@
 //! Sharded, batched admission dispatch — the plane between request
-//! producers (wire readers, the scenario runner, the load harness)
+//! producers (wire connections, the scenario runner, the load harness)
 //! and the [`Broker`].
 //!
 //! The single-dispatcher service funnels every admission through one
 //! queue; past a few hundred thousand clients that queue *is* the
 //! latency. This module partitions admissions into `S` shards, each
-//! with its own queue and dispatch loop:
+//! with its own queue, and owns the three rules every driver of the
+//! plane runs:
 //!
-//! * **Assignment** — [`ShardAssignment::TenantGroup`] (default)
-//!   routes tenant `t` to shard `t mod S`, so one tenant's requests
-//!   stay ordered on one queue. [`ShardAssignment::Node`] routes by
-//!   the NUMA node local to the request's initiator, keeping a
-//!   shard's work topology-local at the cost of cross-queue tenant
-//!   ordering.
-//! * **Coalescing** — within one drained batch, same-tenant requests
-//!   that agree on criterion, fallback, scope, initiator and TTL are
-//!   merged into a single [`Broker::acquire_batch`] planning walk
-//!   (one ranking, one stripe-lock round, one plan; grants fan back
-//!   out per request). One `BatchCoalesced` event records each merge.
-//! * **Work stealing** — a shard whose queue drained steals the back
-//!   half of the longest sibling queue before idling, emitting a
-//!   `ShardSteal` event. Victims keep their queue *head*, so stolen
-//!   work never overtakes the victim's older requests.
+//! * **Assignment** — [`shard_of`]: work with ordering key `k` lands
+//!   on shard `k mod S`, so one key's work stays ordered on one queue.
+//!   The server keys by connection, because a JSONL connection's
+//!   replies must follow its frame order; [`ShardCore`] keys by tenant.
+//! * **Work stealing** — a thief takes the back half of the longest
+//!   sibling queue holding at least two entries (ties go to the lowest
+//!   index) and emits one `ShardSteal` event. Victims keep their queue
+//!   *head*, so stolen work never overtakes the victim's older
+//!   requests. When to steal is the driver's choice: every idle shard
+//!   before a [`ShardCore`] round, or a server poster whose home shard
+//!   is busy.
+//! * **Coalescing** — within one drained batch, a consecutive run of
+//!   requests that agree on tenant, TTL and planning walk (criterion,
+//!   fallback, scope, initiator) goes through one
+//!   [`Broker::acquire_batch`]: one ranking, one stripe-lock round, one
+//!   plan, with grants fanned back out per request. A run of one is
+//!   plain serial admission. Only consecutive runs merge: a merge that
+//!   jumped over another request could move a grant past a `free`, or
+//!   reorder one connection's replies. One `BatchCoalesced` event
+//!   records each merge.
 //!
-//! [`ShardCore`] here is the deterministic, thread-free form of that
-//! plane: callers `submit` then `drain` on one thread, and the exact
-//! same request stream produces the exact same grants, steals and
-//! telemetry every run. The load harness drives `ShardCore` directly
-//! so its numbers are reproducible on any machine.
+//! The batch step that coalesces is also where every drained batch,
+//! served or stolen, feeds the broker's steal-rate meter
+//! ([`Broker::note_shard_dispatch`]).
 //!
-//! The live server (`Server::bind_sharded`) serves the same queues and
-//! steals from its connection threads, one per-shard dispatch token at
-//! a time, but groups differently: `ShardCore` merges same-key
-//! requests across the whole drained batch (`[A1, B1, A2]` serves
-//! `A1+A2` merged, then `B1`), while the server merges only
-//! consecutive runs (`A1`, `B1`, `A2` one by one).
+//! [`ShardCore`] is the deterministic, thread-free driver: callers
+//! `submit` then `drain` on one thread, and the same request stream
+//! produces the same grants, steals and telemetry every run. The load
+//! harness drives it, so its numbers are reproducible on any machine.
+//! The live server (`Server::bind_sharded`) drives the same queues and
+//! batch step from its connection threads, one per-shard dispatch
+//! token at a time.
 //!
 //! With `shards == 1` and coalescing off, the plane degenerates to
 //! exactly the single-dispatcher admission order — the regression
@@ -45,49 +50,24 @@ use crate::tenant::TenantId;
 use crate::ServiceError;
 use hetmem_alloc::AllocRequest;
 use hetmem_telemetry::{Event, ShardSteal};
-use hetmem_topology::LocalityFlags;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// How requests map to shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardAssignment {
-    /// Tenant `t` always lands on shard `t mod S` — one tenant, one
-    /// queue, so per-tenant arrival order is preserved end to end.
-    #[default]
-    TenantGroup,
-    /// Route by the first NUMA node local to the request's initiator
-    /// (`node mod S`), so a shard's admissions stay topology-local.
-    /// Requests with no initiator fall back to shard 0.
-    Node,
-}
-
-impl ShardAssignment {
-    /// Stable lowercase name (DSL and report spelling).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ShardAssignment::TenantGroup => "tenant-group",
-            ShardAssignment::Node => "node",
-        }
-    }
-}
-
-/// Dispatch-plane shape: how many shards, whether to coalesce, and
-/// the assignment function. The default (`1` shard, no coalescing)
-/// is the single-dispatcher plane unchanged.
+/// Dispatch-plane shape: how many shards, and whether to coalesce. The
+/// default (`1` shard, no coalescing) is the single-dispatcher plane
+/// unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardConfig {
     /// Number of dispatch shards (≥ 1; `0` is treated as `1`).
     pub shards: u32,
-    /// Merge mergeable same-tenant requests into one planning walk.
+    /// Merge consecutive mergeable same-tenant requests into one
+    /// planning walk.
     pub coalesce: bool,
-    /// The shard assignment function.
-    pub assignment: ShardAssignment,
 }
 
 impl Default for ShardConfig {
     fn default() -> Self {
-        ShardConfig { shards: 1, coalesce: false, assignment: ShardAssignment::default() }
+        ShardConfig { shards: 1, coalesce: false }
     }
 }
 
@@ -96,7 +76,7 @@ impl ShardConfig {
     /// (the recommended operating point: sharding without batching
     /// leaves the planning-walk savings on the table).
     pub fn with_shards(shards: u32) -> ShardConfig {
-        ShardConfig { shards: shards.max(1), coalesce: shards > 1, ..Default::default() }
+        ShardConfig { shards: shards.max(1), coalesce: shards > 1 }
     }
 
     /// The effective shard count (`0` clamps to `1`).
@@ -105,21 +85,139 @@ impl ShardConfig {
     }
 }
 
-/// One queued admission.
-struct Pending {
-    token: u64,
-    tenant: TenantId,
-    req: AllocRequest,
-    ttl: Option<u64>,
+/// The assignment rule: the shard that work with ordering key `key`
+/// lands on among `shards`, `key mod shards`.
+pub fn shard_of(key: u64, shards: usize) -> usize {
+    (key % shards as u64) as usize
+}
+
+/// The per-shard FIFO queues the steal rule runs over. The server
+/// shares them between connection threads; [`ShardCore`] owns its own.
+pub(crate) struct Queues<T>(Vec<Mutex<VecDeque<T>>>);
+
+impl<T> Queues<T> {
+    pub(crate) fn new(shards: usize) -> Queues<T> {
+        Queues((0..shards).map(|_| Mutex::default()).collect())
+    }
+
+    pub(crate) fn shards(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Shard `shard`'s queue, locked.
+    pub(crate) fn lock(&self, shard: usize) -> MutexGuard<'_, VecDeque<T>> {
+        self.0[shard].lock().expect("queue poisoned")
+    }
+
+    /// The steal rule: `thief` takes the back half of the longest other
+    /// queue holding at least two entries (ties go to the lowest index),
+    /// and one `shard_steal` event is emitted. The victim keeps its
+    /// head. Returns nothing when no sibling qualifies.
+    pub(crate) fn steal(&self, broker: &Broker, thief: usize) -> VecDeque<T> {
+        let mut victim = None;
+        let mut longest = 1;
+        for shard in (0..self.shards()).filter(|&s| s != thief) {
+            let len = self.lock(shard).len();
+            if len > longest {
+                (victim, longest) = (Some(shard), len);
+            }
+        }
+        let Some(victim) = victim else {
+            return VecDeque::new();
+        };
+        let stolen = {
+            let mut queue = self.lock(victim);
+            let len = queue.len();
+            if len < 2 {
+                // The victim drained between the scan and the lock.
+                return VecDeque::new();
+            }
+            queue.split_off(len - len / 2)
+        };
+        let sink = broker.sink_handle();
+        if sink.enabled() {
+            sink.emit(Event::ShardSteal(ShardSteal {
+                broker: broker.id(),
+                thief: thief as u32,
+                victim: victim as u32,
+                stolen: stolen.len() as u64,
+            }));
+        }
+        stolen
+    }
+}
+
+/// One admission as the grouping rule sees it.
+#[derive(Clone)]
+pub(crate) struct Admission {
+    pub(crate) tenant: TenantId,
+    pub(crate) ttl: Option<u64>,
+    pub(crate) req: AllocRequest,
+}
+
+/// The per-batch step every driver runs on each drained batch, served
+/// or stolen. It feeds the steal-rate meter (all of `batch` counts as
+/// stolen when `stolen`), then serves `batch` in order. Without
+/// `coalesce`, every item goes to `serve(item, None)`, which serves it
+/// serially. With it, items `admission` maps to an [`Admission`] are
+/// grouped into consecutive runs that agree on tenant, TTL and
+/// planning walk; each run goes through one [`Broker::acquire_batch`]
+/// (for a run of one, that is serial admission) and each item gets
+/// `serve(item, Some(outcome))`. Returns the merged runs (two or more
+/// requests) and the requests they cover.
+pub(crate) fn serve_batch<T>(
+    broker: &Broker,
+    shard: usize,
+    batch: VecDeque<T>,
+    stolen: bool,
+    coalesce: bool,
+    admission: impl Fn(&T) -> Option<Admission>,
+    mut serve: impl FnMut(T, Option<Result<Lease, ServiceError>>),
+) -> (u64, u64) {
+    let dispatched = batch.len() as u64;
+    broker.note_shard_dispatch(dispatched, if stolen { dispatched } else { 0 });
+    let mut merges = (0, 0);
+    let mut batch = batch
+        .into_iter()
+        .map(|item| {
+            let admission = if coalesce { admission(&item) } else { None };
+            (item, admission)
+        })
+        .peekable();
+    while let Some((item, admission)) = batch.next() {
+        let Some(Admission { tenant, ttl, req }) = admission else {
+            serve(item, None);
+            continue;
+        };
+        let mut items = vec![item];
+        let mut reqs = vec![req];
+        while let Some((item, Some(next))) = batch.next_if(|(_, next)| {
+            next.as_ref().is_some_and(|next| {
+                next.tenant == tenant && next.ttl == ttl && same_walk(&next.req, &reqs[0])
+            })
+        }) {
+            items.push(item);
+            reqs.push(next.req);
+        }
+        if items.len() > 1 {
+            merges.0 += 1;
+            merges.1 += items.len() as u64;
+        }
+        let outcomes = broker.acquire_batch(tenant, &reqs, ttl, shard as u32);
+        for (item, outcome) in items.into_iter().zip(outcomes) {
+            serve(item, Some(outcome));
+        }
+    }
+    merges
 }
 
 /// The deterministic sharded dispatch core: per-shard FIFO queues,
-/// batch coalescing, and drain-time work stealing, all on the
-/// caller's thread. See the module docs for the semantics.
+/// consecutive-run coalescing, and drain-time work stealing, all on
+/// the caller's thread. See the module docs for the semantics.
 pub struct ShardCore {
     broker: Arc<Broker>,
     config: ShardConfig,
-    queues: Vec<VecDeque<Pending>>,
+    queues: Queues<(u64, Admission)>,
     next_token: u64,
     steals: u64,
     stolen_requests: u64,
@@ -130,11 +228,10 @@ pub struct ShardCore {
 impl ShardCore {
     /// A core over `broker` shaped by `config`.
     pub fn new(broker: Arc<Broker>, config: ShardConfig) -> ShardCore {
-        let shards = config.effective_shards() as usize;
         ShardCore {
             broker,
             config,
-            queues: (0..shards).map(|_| VecDeque::new()).collect(),
+            queues: Queues::new(config.effective_shards() as usize),
             next_token: 0,
             steals: 0,
             stolen_requests: 0,
@@ -153,36 +250,20 @@ impl ShardCore {
         &self.broker
     }
 
-    /// The shard `tenant`'s request lands on under the configured
-    /// assignment function.
-    pub fn shard_of(&self, tenant: TenantId, req: &AllocRequest) -> u32 {
-        let shards = self.queues.len() as u32;
-        match self.config.assignment {
-            ShardAssignment::TenantGroup => tenant.0 % shards,
-            ShardAssignment::Node => {
-                let topology = self.broker.machine().topology();
-                let initiator = req.get_initiator().unwrap_or_else(|| topology.machine_cpuset());
-                topology
-                    .local_numa_nodes(initiator, LocalityFlags::intersecting())
-                    .first()
-                    .map_or(0, |node| node.os_index % shards)
-            }
-        }
-    }
-
-    /// Enqueues one admission and returns its correlation token; the
-    /// matching result comes out of a later [`ShardCore::drain`].
+    /// Enqueues one admission on its tenant's shard ([`shard_of`] the
+    /// tenant id) and returns its correlation token; the matching
+    /// result comes out of a later [`ShardCore::drain`].
     pub fn submit(&mut self, tenant: TenantId, req: AllocRequest, ttl: Option<u64>) -> u64 {
         let token = self.next_token;
         self.next_token += 1;
-        let shard = self.shard_of(tenant, &req) as usize;
-        self.queues[shard].push_back(Pending { token, tenant, req, ttl });
+        let shard = shard_of(tenant.0.into(), self.queues.shards());
+        self.queues.lock(shard).push_back((token, Admission { tenant, ttl, req }));
         token
     }
 
     /// Current queue depth per shard.
     pub fn queue_depths(&self) -> Vec<usize> {
-        self.queues.iter().map(VecDeque::len).collect()
+        (0..self.queues.shards()).map(|shard| self.queues.lock(shard).len()).collect()
     }
 
     /// Steals and coalesced-batch counters since construction:
@@ -192,105 +273,98 @@ impl ShardCore {
         (self.steals, self.stolen_requests, self.coalesced_batches, self.coalesced_requests)
     }
 
-    /// One dispatch round: every shard balances (idle shards steal
-    /// from the longest sibling queue), then serves its whole queue —
-    /// coalescing mergeable same-tenant runs when configured. Returns
-    /// `(token, result)` pairs in service order.
+    /// One dispatch round: every empty shard steals, in shard order,
+    /// then every shard serves its whole queue through the batch step.
+    /// Returns `(token, result)` pairs in service order.
     pub fn drain(&mut self) -> Vec<(u64, Result<Lease, ServiceError>)> {
-        let stolen_before = self.stolen_requests;
-        self.balance();
+        let mut thieves = vec![false; self.queues.shards()];
+        for (thief, stole) in thieves.iter_mut().enumerate() {
+            if !self.queues.lock(thief).is_empty() {
+                continue;
+            }
+            let stolen = self.queues.steal(&self.broker, thief);
+            if !stolen.is_empty() {
+                self.steals += 1;
+                self.stolen_requests += stolen.len() as u64;
+                *stole = true;
+                self.queues.lock(thief).extend(stolen);
+            }
+        }
+        let broker = &self.broker;
         let mut results = Vec::new();
-        for shard in 0..self.queues.len() {
-            let batch: Vec<Pending> = self.queues[shard].drain(..).collect();
+        for (shard, stolen) in thieves.into_iter().enumerate() {
+            let batch = std::mem::take(&mut *self.queues.lock(shard));
             if batch.is_empty() {
                 continue;
             }
-            if self.config.coalesce {
-                self.serve_coalesced(shard as u32, batch, &mut results);
-            } else {
-                for p in batch {
-                    results.push((p.token, self.broker.acquire_with_ttl(p.tenant, &p.req, p.ttl)));
-                }
-            }
+            let (runs, merged) = serve_batch(
+                broker,
+                shard,
+                batch,
+                stolen,
+                self.config.coalesce,
+                |(_, admission)| Some(admission.clone()),
+                |(token, a), outcome| {
+                    let outcome =
+                        outcome.unwrap_or_else(|| broker.acquire_with_ttl(a.tenant, &a.req, a.ttl));
+                    results.push((token, outcome));
+                },
+            );
+            self.coalesced_batches += runs;
+            self.coalesced_requests += merged;
         }
-        // Feed the epoch's steal-rate meter (`docs/OPERATIONS.md` §8).
-        self.broker.note_shard_dispatch(results.len() as u64, self.stolen_requests - stolen_before);
         results
     }
+}
 
-    /// The work-stealing pass: each empty shard takes the back half of
-    /// the longest sibling queue (≥ 2 pending), in shard order. The
-    /// victim keeps its queue head, so its older requests still run
-    /// first.
-    fn balance(&mut self) {
-        let shards = self.queues.len();
-        if shards < 2 {
-            return;
-        }
-        for thief in 0..shards {
-            if !self.queues[thief].is_empty() {
-                continue;
-            }
-            let victim = (0..shards)
-                .filter(|&s| s != thief)
-                .max_by_key(|&s| (self.queues[s].len(), std::cmp::Reverse(s)));
-            let Some(victim) = victim else { continue };
-            let len = self.queues[victim].len();
-            if len < 2 {
-                continue;
-            }
-            let stolen = self.queues[victim].split_off(len - len / 2);
-            let count = stolen.len() as u64;
-            self.queues[thief].extend(stolen);
-            self.steals += 1;
-            self.stolen_requests += count;
-            let sink = self.broker.sink_handle();
-            if sink.enabled() {
-                sink.emit(Event::ShardSteal(ShardSteal {
-                    broker: self.broker.id(),
-                    thief: thief as u32,
-                    victim: victim as u32,
-                    stolen: count,
-                }));
-            }
-        }
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ArbitrationPolicy;
+    use hetmem_core::discovery;
+    use hetmem_memsim::Machine;
+    use hetmem_telemetry::TelemetrySink;
 
-    /// Serves one shard batch with coalescing: requests group by
-    /// `(tenant, ttl, criterion, fallback, scope, initiator)` in
-    /// first-arrival order, each group going through one
-    /// [`Broker::acquire_batch`] call (which plans groups of ≥ 2 in a
-    /// single walk and falls back to serial admission whenever the
-    /// merge would change an arbitration outcome).
-    fn serve_coalesced(
-        &mut self,
-        shard: u32,
-        batch: Vec<Pending>,
-        results: &mut Vec<(u64, Result<Lease, ServiceError>)>,
-    ) {
-        let mut groups: Vec<Vec<Pending>> = Vec::new();
-        for p in batch {
-            let slot = groups.iter_mut().find(|g| {
-                let head = &g[0];
-                head.tenant == p.tenant && head.ttl == p.ttl && same_walk(&head.req, &p.req)
-            });
-            match slot {
-                Some(g) => g.push(p),
-                None => groups.push(vec![p]),
-            }
-        }
-        for group in groups {
-            if group.len() >= 2 {
-                self.coalesced_batches += 1;
-                self.coalesced_requests += group.len() as u64;
-            }
-            let tenant = group[0].tenant;
-            let ttl = group[0].ttl;
-            let reqs: Vec<AllocRequest> = group.iter().map(|p| p.req.clone()).collect();
-            let outcomes = self.broker.acquire_batch(tenant, &reqs, ttl, shard);
-            for (p, outcome) in group.into_iter().zip(outcomes) {
-                results.push((p.token, outcome));
-            }
-        }
+    #[test]
+    fn the_steal_rule_takes_the_back_half_of_the_longest_queue() {
+        let machine = Arc::new(Machine::knl_snc4_flat());
+        let attrs = Arc::new(discovery::from_firmware(&machine, true).expect("attrs"));
+        let mut broker = Broker::new(machine, attrs, ArbitrationPolicy::FairShare);
+        let sink = TelemetrySink::with_ring_words(1 << 10);
+        let mut collector = sink.collector();
+        broker.set_sink(sink);
+        let queues = |lens: &[u32]| {
+            Queues(lens.iter().map(|&n| Mutex::new((0..n).collect::<VecDeque<u32>>())).collect())
+        };
+        let contents = |q: &Queues<u32>| {
+            (0..q.shards()).map(|s| q.lock(s).iter().copied().collect()).collect::<Vec<Vec<u32>>>()
+        };
+
+        // A queue with fewer than two entries is never a victim.
+        let q = queues(&[0, 1, 1]);
+        assert!(q.steal(&broker, 0).is_empty());
+        assert_eq!(contents(&q), [vec![], vec![0], vec![0]]);
+
+        // Ties go to the lowest index; the victim keeps its head; the
+        // thief's own queue is never the victim.
+        let q = queues(&[9, 4, 0, 4]);
+        assert_eq!(q.steal(&broker, 0), [2, 3]);
+        assert_eq!(contents(&q), [(0..9).collect(), vec![0, 1], vec![], vec![0, 1, 2, 3]]);
+
+        // Exactly len/2 entries move, from the back.
+        let q = queues(&[0, 5, 2]);
+        assert_eq!(q.steal(&broker, 0), [3, 4]);
+        assert_eq!(contents(&q), [vec![], vec![0, 1, 2], vec![0, 1]]);
+
+        // One event per steal that moved work.
+        let steals: Vec<_> = collector
+            .drain_sorted()
+            .into_iter()
+            .filter_map(|c| match c.event {
+                Event::ShardSteal(s) => Some((s.thief, s.victim, s.stolen)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(steals, [(0, 1, 2), (0, 1, 2)]);
     }
 }

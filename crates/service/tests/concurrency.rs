@@ -137,7 +137,7 @@ fn concurrent_wire_clients_round_trip_cleanly() {
     // with no token holder to serve it shows up as `DeadlineExceeded`.
     for shards in [1, 2, 4] {
         for coalesce in [false, true] {
-            let config = ShardConfig { shards, coalesce, ..ShardConfig::default() };
+            let config = ShardConfig { shards, coalesce };
             let broker = knl_broker(ArbitrationPolicy::FairShare);
             let mut server =
                 Server::bind_sharded(broker, "tcp:127.0.0.1:0", None, config).expect("bind");

@@ -7,21 +7,28 @@
 //!   keeps its queue head, and every steal is visible both in the
 //!   core's counters and as a `ShardSteal` telemetry event.
 //! * (Property) Coalesced batches grant byte-for-byte what serial
-//!   admission of the same stream grants — placements, spill shapes
-//!   and node ledgers included — because `Broker::acquire_batch`
-//!   falls back to serial admission whenever a merge would change an
-//!   arbitration outcome.
+//!   admission of the same stream grants, in submit order, for any
+//!   interleaving of tenants and criteria — placements, spill shapes
+//!   and node ledgers included — because only consecutive runs merge
+//!   and `Broker::acquire_batch` falls back to serial admission
+//!   whenever a merge would change an arbitration outcome.
+//! * A coalescing server answers one connection's pipelined frames in
+//!   frame order, exactly as serial admission would.
 
 use hetmem_alloc::{AllocRequest, Fallback};
 use hetmem_core::{attr, discovery, AttrId};
 use hetmem_memsim::Machine;
 use hetmem_service::{
+    server::{serve, Server},
     shard::{ShardConfig, ShardCore},
+    wire::{Request, Response},
     ArbitrationPolicy, Broker, Lease, Priority, ServiceError, TenantId, TenantSpec,
 };
 use hetmem_telemetry::{Event, TelemetrySink};
 use hetmem_topology::MemoryKind;
 use proptest::prelude::*;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 
 const MIB: u64 = 1 << 20;
@@ -269,14 +276,70 @@ fn merge_rollback_and_tail_rerun_match_serial_admission() {
     }
 }
 
-/// Strategy: a stream of MiB-aligned requests, grouped contiguously by
-/// tenant so the coalescer's group order equals the serial order (each
-/// tenant keeps one criterion, so groups never split).
-fn stream_strategy() -> impl Strategy<Value = Vec<(usize, u64)>> {
-    prop::collection::vec((0usize..3, 16u64..=256), 1..20).prop_map(|mut v| {
-        v.sort_by_key(|&(tenant, _)| tenant);
-        v
-    })
+/// One connection pipelines `alloc x, alloc y, alloc x, alloc x, free,
+/// alloc x` into a coalescing server before reading anything. The
+/// replies come back in frame order and equal serial admission of the
+/// same frames on a twin broker: a merge never jumps the `free` or
+/// reorders the connection's replies.
+#[test]
+fn coalescing_server_answers_pipelined_frames_in_serial_order() {
+    let config = ShardConfig { shards: 1, coalesce: true };
+    let mut server = Server::bind_sharded(
+        knl_broker(ArbitrationPolicy::FairShare),
+        "tcp:127.0.0.1:0",
+        None,
+        config,
+    )
+    .expect("bind");
+    let twin = knl_broker(ArbitrationPolicy::FairShare);
+    let register = |tenant: &str| Request::Register {
+        tenant: tenant.into(),
+        priority: Priority::Normal,
+        quota: vec![],
+        reserve: vec![],
+    };
+    let alloc = |tenant: &str| Request::Alloc {
+        tenant: tenant.into(),
+        size: 4 * MIB,
+        criterion: attr::BANDWIDTH,
+        fallback: Fallback::PartialSpill,
+        label: None,
+        ttl: None,
+    };
+    // Serial admission on the twin fixes the expected replies, and the
+    // lease the `free` names.
+    let mut frames =
+        vec![register("x"), register("y"), alloc("x"), alloc("y"), alloc("x"), alloc("x")];
+    let mut expected: Vec<Response> = frames.iter().map(|f| serve(&twin, f.clone())).collect();
+    let Response::Granted { lease, .. } = expected[2] else {
+        panic!("the first alloc is granted: {:?}", expected[2]);
+    };
+    for frame in [Request::Free { tenant: "x".into(), lease }, alloc("x")] {
+        expected.push(serve(&twin, frame.clone()));
+        frames.push(frame);
+    }
+
+    let addr = server.local_addr().strip_prefix("tcp:").expect("tcp address").to_string();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let burst: String = frames.iter().map(|f| f.to_json() + "\n").collect();
+    stream.write_all(burst.as_bytes()).expect("write");
+    let mut reader = BufReader::new(stream);
+    for (i, want) in expected.iter().enumerate() {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read");
+        let got = Response::from_json(line.trim_end()).expect("parse");
+        assert_eq!(&got, want, "reply {i} differs from serial admission");
+    }
+    assert_eq!(server.broker().node_usage(), twin.node_usage(), "ledgers diverged");
+    server.broker().check_invariants().expect("served ledgers consistent");
+    server.shutdown();
+}
+
+/// Strategy: a stream of MiB-aligned requests from three tenants in
+/// any interleaving, each request drawing its own criterion.
+fn stream_strategy() -> impl Strategy<Value = Vec<(usize, u64, AttrId)>> {
+    let criterion = prop_oneof![Just(attr::BANDWIDTH), Just(attr::CAPACITY)];
+    prop::collection::vec((0usize..3, 16u64..=256, criterion), 1..20)
 }
 
 proptest! {
@@ -291,10 +354,6 @@ proptest! {
             ("co-b", Priority::Normal),
             ("co-c", Priority::Batch),
         ];
-        // Per-tenant criterion keeps every tenant's run one coalesce
-        // group (groups split on criterion otherwise).
-        let criteria: [AttrId; 3] = [attr::BANDWIDTH, attr::CAPACITY, attr::BANDWIDTH];
-
         let coalesced = knl_broker(ArbitrationPolicy::FairShare);
         let serial = knl_broker(ArbitrationPolicy::FairShare);
         let coalesced_tenants = register(&coalesced, &tenant_mix);
@@ -324,9 +383,9 @@ proptest! {
         );
         coalesced.advance_epoch();
         serial.advance_epoch();
-        for &(tenant, mib) in &stream {
+        for &(tenant, mib, criterion) in &stream {
             let req = AllocRequest::new(mib * MIB)
-                .criterion(criteria[tenant])
+                .criterion(criterion)
                 .fallback(Fallback::PartialSpill);
             core.submit(coalesced_tenants[tenant], req, None);
         }
@@ -334,9 +393,9 @@ proptest! {
             core.drain().into_iter().map(|(token, outcome)| (token, footprint(&outcome))).collect();
         let serial_out: Vec<_> = stream
             .iter()
-            .map(|&(tenant, mib)| {
+            .map(|&(tenant, mib, criterion)| {
                 let req = AllocRequest::new(mib * MIB)
-                    .criterion(criteria[tenant])
+                    .criterion(criterion)
                     .fallback(Fallback::PartialSpill);
                 footprint(&serial.acquire_with_ttl(serial_tenants[tenant], &req, None))
             })
@@ -344,7 +403,7 @@ proptest! {
 
         prop_assert_eq!(coalesced_out.len(), serial_out.len());
         for (i, ((token, c), s)) in coalesced_out.iter().zip(serial_out.iter()).enumerate() {
-            prop_assert_eq!(*token, i as u64, "contiguous tenant runs preserve submit order");
+            prop_assert_eq!(*token, i as u64, "consecutive runs preserve submit order");
             prop_assert_eq!(c, s, "request {} diverged under coalescing", i);
         }
         let (_, _, merged_batches, merged_requests) = core.counters();
